@@ -1,15 +1,13 @@
-// Multi-process distributed engine: topology, shard scaling, DyMA on the wire.
+// Multi-process distributed engine: shard scaling, DyMA on the wire.
 //
 // Runs the same phold workload sharded across 2 and 4 worker processes over
-// TCP loopback, on both data-plane topologies (Star: every frame transits
-// the coordinator relay; Mesh: direct shard-to-shard links + comm-graph
-// placement), once with aggregation off (every event is its own wire frame)
-// and once with the adaptive DyMA policy (events batch into
-// EventBatchMessage frames at the socket boundary). Digest parity against
-// the sequential kernel is the correctness gate; the headline results are
-// the aggregated-vs-unaggregated wire frame count (the paper's aggregation
-// argument replayed on a real transport) and the mesh-over-star throughput
-// ratio at 4 shards, where the relay is the star topology's ceiling.
+// TCP loopback (direct shard-to-shard peer links + comm-graph placement),
+// once with aggregation off (every event is its own wire frame) and once
+// with the adaptive DyMA policy (events batch into EventBatchMessage frames
+// at the socket boundary). Digest parity against the sequential kernel is
+// the correctness gate; the headline result is the aggregated-vs-
+// unaggregated wire frame count (the paper's aggregation argument replayed
+// on a real transport).
 //
 // Outputs: bench/results/distributed_scaling.json (standard BenchReport
 // rows) and BENCH_distributed.json (CI-gated summary; exit 1 on FAIL).
@@ -26,7 +24,8 @@ namespace {
 
 /// One (src,dst) latency row harvested from the run's attribution
 /// histograms: worker-measured link latency (send stamp to receive) or
-/// coordinator relay residency, with log2-bucket quantile upper bounds.
+/// coordinator relay residency of control frames, with log2-bucket quantile
+/// upper bounds.
 struct LinkPoint {
   std::string seam;
   std::uint32_t src = 0;
@@ -37,7 +36,6 @@ struct LinkPoint {
 };
 
 struct DistPoint {
-  bool mesh = false;
   std::uint32_t shards = 0;
   bool aggregated = false;
   double events_per_sec = 0.0;
@@ -51,8 +49,9 @@ struct DistPoint {
 };
 
 /// Pulls the per-link seams out of a finished run, in stable (seam,src,dst)
-/// order. Under Star the rows are coordinator relay residencies; under Mesh
-/// they are direct peer-link latencies — the before/after of this bench.
+/// order: end-to-end link latencies (data frames on the peer links, control
+/// frames via the coordinator) and the coordinator's relay residency of the
+/// control frames (GVT tokens and announces).
 std::vector<LinkPoint> harvest_links(const otw::tw::RunResult& r) {
   using otw::obs::hist::Seam;
   std::vector<LinkPoint> links;
@@ -96,68 +95,54 @@ int main() {
   const tw::SequentialResult seq = tw::run_sequential(model, end);
 
   std::vector<DistPoint> points;
-  for (const bool mesh : {false, true}) {
-    for (const std::uint32_t shards : {2u, 4u}) {
-      for (const bool aggregated : {false, true}) {
-        tw::KernelConfig kc = bench::base_kernel(app.num_lps);
-        kc.end_time = end;
-        kc.batch_size = 8;
-        kc.gvt_period_events = 128;
-        kc.runtime.cancellation = core::CancellationControlConfig::dynamic();
-        kc.checkpoint.dynamic = true;
-        // Star is the legacy relay data plane with the round-robin placement
-        // it shipped with; Mesh pairs the peer links with the comm-graph
-        // partitioner, which is how the mesh engine runs by default.
-        kc.engine.topology =
-            mesh ? platform::Topology::Mesh : platform::Topology::Star;
-        kc.engine.partition =
-            mesh ? tw::PartitionKind::CommGraph : tw::PartitionKind::RoundRobin;
-        kc.aggregation.policy = aggregated ? comm::AggregationPolicy::Adaptive
-                                           : comm::AggregationPolicy::None;
-        kc.aggregation.window_us = 64.0;
-        // Arm the latency-attribution histograms (no scrape port: the bank
-        // rides home in the RESULT payloads) so the summary can report
-        // per-link p50/p99 — relay residency under Star, direct link latency
-        // under Mesh.
-        kc.observability.live.enabled = true;
+  for (const std::uint32_t shards : {2u, 4u}) {
+    for (const bool aggregated : {false, true}) {
+      tw::KernelConfig kc = bench::base_kernel(app.num_lps);
+      kc.end_time = end;
+      kc.batch_size = 8;
+      kc.gvt_period_events = 128;
+      kc.runtime.cancellation = core::CancellationControlConfig::dynamic();
+      kc.checkpoint.dynamic = true;
+      kc.engine.partition = tw::PartitionKind::CommGraph;
+      kc.aggregation.policy = aggregated ? comm::AggregationPolicy::Adaptive
+                                         : comm::AggregationPolicy::None;
+      kc.aggregation.window_us = 64.0;
+      // Arm the latency-attribution histograms (no scrape port: the bank
+      // rides home in the RESULT payloads) so the summary can report
+      // per-link p50/p99.
+      kc.observability.live.enabled = true;
 
-        const tw::RunResult r =
-            tw::run(model, kc.with_engine(tw::EngineKind::Distributed, shards));
+      const tw::RunResult r =
+          tw::run(model, kc.with_engine(tw::EngineKind::Distributed, shards));
 
-        DistPoint p;
-        p.mesh = mesh;
-        p.shards = shards;
-        p.aggregated = aggregated;
-        p.events_per_sec = r.committed_events_per_sec();
-        p.frames_sent = r.dist.frames_sent;
-        p.bytes_sent = r.dist.bytes_sent;
-        p.gvt_token_frames = r.dist.gvt_token_frames;
-        p.migrations = r.dist.migrations;
-        p.wall_ns = r.execution_time_ns;
-        p.digests_ok = r.digests == seq.digests &&
-                       r.stats.total_committed() == seq.events_processed;
-        p.links = harvest_links(r);
-        points.push_back(p);
+      DistPoint p;
+      p.shards = shards;
+      p.aggregated = aggregated;
+      p.events_per_sec = r.committed_events_per_sec();
+      p.frames_sent = r.dist.frames_sent;
+      p.bytes_sent = r.dist.bytes_sent;
+      p.gvt_token_frames = r.dist.gvt_token_frames;
+      p.migrations = r.dist.migrations;
+      p.wall_ns = r.execution_time_ns;
+      p.digests_ok = r.digests == seq.digests &&
+                     r.stats.total_committed() == seq.events_processed;
+      p.links = harvest_links(r);
+      points.push_back(p);
 
-        const std::string label = std::string(mesh ? "mesh" : "star") + "-s" +
-                                  std::to_string(shards) +
-                                  (aggregated ? "-dyma" : "-none");
-        bench::print_run_row(label, shards, r);
-        report.record(label, shards, kc, r);
-        if (!p.digests_ok) {
-          std::fprintf(stderr, "FATAL: digest mismatch at %u shards (%s, %s)\n",
-                       shards, mesh ? "mesh" : "star",
-                       aggregated ? "dyma" : "none");
-        }
+      const std::string label =
+          "mesh-s" + std::to_string(shards) + (aggregated ? "-dyma" : "-none");
+      bench::print_run_row(label, shards, r);
+      report.record(label, shards, kc, r);
+      if (!p.digests_ok) {
+        std::fprintf(stderr, "FATAL: digest mismatch at %u shards (%s)\n",
+                     shards, aggregated ? "dyma" : "none");
       }
     }
   }
 
-  // Verdict: all runs committed the sequential ground truth; at every
-  // (topology, shard count) DyMA moved strictly fewer data frames over the
-  // sockets than the unaggregated baseline; and the mesh data plane beats
-  // the star relay on committed throughput at 4 shards, where the relay is
-  // the known ceiling.
+  // Verdict: all runs committed the sequential ground truth, and at every
+  // shard count DyMA moved strictly fewer data frames over the sockets than
+  // the unaggregated baseline.
   bool parity = true;
   bool batching = true;
   for (std::size_t i = 0; i + 1 < points.size(); i += 2) {
@@ -167,35 +152,18 @@ int main() {
     const std::uint64_t none_data = none.frames_sent - none.gvt_token_frames;
     const std::uint64_t dyma_data = dyma.frames_sent - dyma.gvt_token_frames;
     batching = batching && dyma_data < none_data;
-    std::printf("\n  %s %u shards: %llu data frames unaggregated -> %llu "
+    std::printf("\n  %u shards: %llu data frames unaggregated -> %llu "
                 "with DyMA (%.2fx reduction)\n",
-                none.mesh ? "mesh" : "star", none.shards,
-                static_cast<unsigned long long>(none_data),
+                none.shards, static_cast<unsigned long long>(none_data),
                 static_cast<unsigned long long>(dyma_data),
                 dyma_data > 0 ? static_cast<double>(none_data) /
                                     static_cast<double>(dyma_data)
                               : 0.0);
   }
-  const auto throughput_of = [&points](bool mesh, std::uint32_t shards) {
-    for (const DistPoint& p : points) {
-      if (p.mesh == mesh && p.shards == shards && !p.aggregated) {
-        return p.events_per_sec;
-      }
-    }
-    return 0.0;
-  };
-  const double star4 = throughput_of(false, 4);
-  const double mesh4 = throughput_of(true, 4);
-  const double mesh_speedup = star4 > 0.0 ? mesh4 / star4 : 0.0;
-  const bool mesh_wins = mesh4 > star4;
-  std::printf("\n  4-shard unaggregated: star %.0f ev/s -> mesh %.0f ev/s "
-              "(%.2fx)\n",
-              star4, mesh4, mesh_speedup);
-  const bool pass = parity && batching && mesh_wins;
-  std::printf("\n  digest parity: %s, wire batching: %s, mesh > star @4: %s "
-              "-> %s\n",
+  const bool pass = parity && batching;
+  std::printf("\n  digest parity: %s, wire batching: %s -> %s\n",
               parity ? "yes" : "NO", batching ? "yes" : "NO",
-              mesh_wins ? "yes" : "NO", pass ? "PASS" : "FAIL");
+              pass ? "PASS" : "FAIL");
 
   std::ofstream out("BENCH_distributed.json");
   if (out) {
@@ -203,14 +171,10 @@ int main() {
     out << "  \"verdict\": \"" << (pass ? "PASS" : "FAIL") << "\",\n";
     out << "  \"digest_parity\": " << (parity ? "true" : "false") << ",\n";
     out << "  \"wire_batching\": " << (batching ? "true" : "false") << ",\n";
-    out << "  \"mesh_beats_star_4shard\": " << (mesh_wins ? "true" : "false")
-        << ",\n";
-    out << "  \"mesh_speedup_4shard\": " << mesh_speedup << ",\n";
     out << "  \"runs\": [\n";
     for (std::size_t i = 0; i < points.size(); ++i) {
       const DistPoint& p = points[i];
-      out << "    {\"topology\": \"" << (p.mesh ? "mesh" : "star")
-          << "\", \"shards\": " << p.shards << ", \"aggregation\": \""
+      out << "    {\"shards\": " << p.shards << ", \"aggregation\": \""
           << (p.aggregated ? "adaptive" : "none")
           << "\", \"committed_events_per_sec\": " << p.events_per_sec
           << ", \"wire_frames_sent\": " << p.frames_sent

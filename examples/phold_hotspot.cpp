@@ -104,7 +104,6 @@ int main(int argc, char** argv) {
   kc.gvt_period_events = 64;
   kc.engine.kind = tw::EngineKind::Distributed;
   kc.engine.num_shards = 2;
-  kc.engine.topology = platform::Topology::Mesh;
   kc.engine.partition = tw::PartitionKind::RoundRobin;  // the naive layout
   kc.observability.tracing = true;      // feeds obs::analyze
   kc.observability.live.enabled = true; // STATS stream = controller's O

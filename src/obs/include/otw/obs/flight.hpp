@@ -42,7 +42,7 @@ struct FlightConfig {
   std::size_t health_ring = 128;
 };
 
-/// Metadata of one relayed data frame (coordinator relay loop feed).
+/// Metadata of one relayed control frame (coordinator relay loop feed).
 struct FrameEvent {
   std::uint32_t src_shard = 0;
   std::uint32_t dst_shard = 0;

@@ -9,7 +9,6 @@
 #include <cerrno>
 #include <csignal>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <deque>
 #include <exception>
@@ -18,6 +17,7 @@
 #include <stdexcept>
 #include <string>
 
+#include "otw/platform/cost_model.hpp"
 #include "otw/platform/snapshot_file.hpp"
 #include "otw/platform/wire.hpp"
 #include "otw/util/assert.hpp"
@@ -45,13 +45,6 @@ constexpr std::uint8_t kSnapAckDecline = 2;   ///< cut refused (done / GVT 0)
 /// Under fault tolerance the coordinator's poll sleep is capped so watchdog
 /// kill requests and snapshot deadlines are honored promptly.
 constexpr int kFaultPollCapMs = 25;
-
-/// Temporary protocol tracing for the snapshot/recovery state machine,
-/// gated on OTW_SNAP_DEBUG.
-bool snap_debug() {
-  static const bool on = std::getenv("OTW_SNAP_DEBUG") != nullptr;
-  return on;
-}
 
 /// Shortest gap between two clock-refresh pings from one worker. Pings are
 /// triggered by received GVT announces, which can burst; the estimate only
@@ -170,13 +163,11 @@ struct ShardLp {
   LpId id = 0;
   LpRunner* runner = nullptr;
   StepStatus status = StepStatus::Active;
-  bool migrated_out = false;  ///< entry kept (busy_ns) after the LP left
-  std::uint64_t busy_ns = 0;
   std::uint64_t wake_hint_ns = kNever;
   std::deque<std::unique_ptr<EngineMessage>> inbox;
 };
 
-/// One direct worker-to-worker TCP stream (mesh topology). Output is queued
+/// One direct worker-to-worker TCP stream (peer link). Output is queued
 /// and flushed non-blockingly; input bytes accumulate until whole frames
 /// parse out. One stream per ordered pair is exactly the per-(src,dst) FIFO
 /// the kernel's non-overtaking contract needs.
@@ -213,7 +204,6 @@ class ShardDriver {
         fd_(fd),
         all_lps_(all_lps),
         links_(std::move(links)),
-        mesh_(config.topology == Topology::Mesh && config.num_shards > 1),
         fault_(fault),
         trace_(config.wire_trace_capacity ? config.wire_trace_capacity : 1),
         epoch_ns_(mono_ns()) {
@@ -320,7 +310,6 @@ class ShardDriver {
   int fd_;
   const std::vector<LpRunner*>& all_lps_;  ///< fork gave us a copy of every LP
   std::vector<PeerLink> links_;            ///< index = shard; self unused
-  bool mesh_;
   std::vector<ShardLp> lps_;
   std::vector<std::size_t> lp_index_;  ///< global LpId -> index in lps_
   std::vector<std::uint32_t> owners_;  ///< LP -> shard, current routing epoch
@@ -389,13 +378,13 @@ class ShardDriver::Context final : public LpContext {
     return driver_.now_ns();
   }
 
-  void charge(std::uint64_t ns) noexcept override { lp_.busy_ns += ns; }
+  /// Real wall clocks: nothing models charged work on this engine.
+  void charge(std::uint64_t /*ns*/) noexcept override {}
 
   void send(LpId dst, std::unique_ptr<EngineMessage> msg) override {
     OTW_REQUIRE(dst < driver_.num_lps_);
     OTW_REQUIRE(msg != nullptr);
     const std::uint64_t bytes = msg->wire_bytes();
-    charge(driver_.config_.costs.send_cost_ns(bytes));
     ++driver_.totals_.physical_messages;
     driver_.totals_.wire_bytes += bytes;
     if (driver_.owners_[dst] == driver_.shard_) {
@@ -424,7 +413,6 @@ class ShardDriver::Context final : public LpContext {
           obs::hist::Seam::MailboxDwell,
           now > msg->obs_enqueue_ns ? now - msg->obs_enqueue_ns : 0);
     }
-    charge(driver_.config_.costs.msg_recv_overhead_ns);
     return msg;
   }
 
@@ -433,7 +421,8 @@ class ShardDriver::Context final : public LpContext {
   }
 
   [[nodiscard]] const CostModel& costs() const noexcept override {
-    return driver_.config_.costs;
+    static const CostModel kFree = CostModel::free();
+    return kFree;
   }
 
  private:
@@ -465,17 +454,17 @@ void ShardDriver::send_remote(LpId src, LpId dst, const EngineMessage& msg) {
   header.dst_lp = dst;
   header.send_ns = aligned_now_ns();
   ++snap_sent_;
-  if (mesh_ && !msg.wire_control()) {
+  if (msg.wire_control()) {
+    // Control plane (GVT tokens/announces) transits the coordinator, which
+    // keeps RelayResidency attribution.
+    send_frame(fd_, header, scratch_.data());
+  } else {
     // Data plane: one hop on the direct (src,dst) peer link. A dead peer's
     // frames accumulate in the queue and are discarded with the incarnation
     // at recovery (the rollback re-generates them).
     const std::uint32_t peer = owners_[dst];
     queue_frame(links_[peer].out, header, scratch_.data());
     flush_peer_link(peer);
-  } else {
-    // Control plane (GVT tokens/announces) — and everything under Star —
-    // transits the coordinator, which keeps RelayResidency attribution.
-    send_frame(fd_, header, scratch_.data());
   }
 
   ++totals_.dist.frames_sent;
@@ -553,8 +542,6 @@ void ShardDriver::route_inbound(const std::uint8_t* frame,
   OTW_REQUIRE_MSG(dst < num_lps_, "frame routed to an unknown LP");
   ++snap_recv_;
   if (owners_[dst] != shard_) {
-    // Under Star, placement is static, so this is unconditionally a bug.
-    OTW_REQUIRE_MSG(mesh_, "frame routed to the wrong shard");
     forward_frame(frame, header);
     return;
   }
@@ -618,7 +605,6 @@ void ShardDriver::handle_migrate_cmd(const std::uint8_t* payload,
   OTW_REQUIRE_MSG(r.done() && lp < num_lps_ && to < config_.num_shards &&
                       to != shard_,
                   "malformed MIGRATE_CMD frame");
-  OTW_REQUIRE_MSG(mesh_, "migration requires the mesh topology");
   OTW_REQUIRE_MSG(owners_[lp] == shard_ && lp_index_[lp] != SIZE_MAX,
                   "migrate command for an LP this shard does not hold");
   ShardLp& s = lps_[lp_index_[lp]];
@@ -666,7 +652,6 @@ void ShardDriver::handle_migrate_cmd(const std::uint8_t* payload,
       totals_.dist.bytes_sent += kFrameHeaderBytes + blob.size();
 
       s.runner = nullptr;
-      s.migrated_out = true;
       if (s.status != StepStatus::Done) {
         --remaining_;
       }
@@ -694,7 +679,6 @@ void ShardDriver::handle_migrate_cmd(const std::uint8_t* payload,
 
 void ShardDriver::handle_migrate_in(const FrameHeader& header,
                                     const std::uint8_t* payload) {
-  OTW_REQUIRE_MSG(mesh_, "migration requires the mesh topology");
   const LpId lp = header.dst_lp;
   OTW_REQUIRE_MSG(lp < num_lps_, "MIGRATE frame for an unknown LP");
   WireReader r(payload, header.payload_len);
@@ -831,10 +815,6 @@ void ShardDriver::handle_snap_ctl(const std::uint8_t* payload,
   const std::uint8_t phase = r.u8();
   const std::uint32_t epoch = r.u32();
   OTW_REQUIRE_MSG(r.done(), "malformed SNAP_CTL frame");
-  if (snap_debug()) {
-    std::fprintf(stderr, "[shard %u] SNAP_CTL phase=%u epoch=%u\n", shard_,
-                 phase, epoch);
-  }
   switch (phase) {
     case kSnapStop:
       snap_mode_ = SnapMode::Settle;
@@ -1144,9 +1124,6 @@ void ShardDriver::drain_socket() {
 }
 
 void ShardDriver::drain_links() {
-  if (!mesh_) {
-    return;
-  }
   std::uint8_t chunk[16384];
   for (std::uint32_t peer = 0; peer < links_.size(); ++peer) {
     PeerLink& link = links_[peer];
@@ -1294,14 +1271,13 @@ void ShardDriver::maybe_send_stats() {
 }
 
 void ShardDriver::run() {
-  // Star: run until every local LP is Done, then report. Mesh: ownership can
-  // move and frames may need forwarding even after the local set drains, so
-  // run until the coordinator says FINISH (it waits for every shard's DONE
-  // with settled migration counts).
+  // Ownership can move and frames may need forwarding even after the local
+  // set drains, so run until the coordinator says FINISH (it waits for every
+  // shard's DONE with settled migration counts).
   for (;;) {
     drain_socket();
     drain_links();
-    if (mesh_ ? finish_received_ : remaining_ == 0) {
+    if (finish_received_) {
       break;
     }
     maybe_send_stats();
@@ -1341,19 +1317,17 @@ void ShardDriver::run() {
                                  std::to_string(config_.max_steps));
       }
     }
-    if (mesh_ && remaining_ == 0 && !done_announced_) {
+    if (remaining_ == 0 && !done_announced_) {
       send_done();
     }
-    if (!ran_any && (remaining_ > 0 || mesh_)) {
+    if (!ran_any) {
       idle_wait();
     }
   }
-  if (mesh_) {
-    OTW_ASSERT(remaining_ == 0);
-    for (const std::deque<std::unique_ptr<EngineMessage>>& stash : pending_in_) {
-      OTW_ASSERT(stash.empty());
-      static_cast<void>(stash);
-    }
+  OTW_ASSERT(remaining_ == 0);
+  for (const std::deque<std::unique_ptr<EngineMessage>>& stash : pending_in_) {
+    OTW_ASSERT(stash.empty());
+    static_cast<void>(stash);
   }
 }
 
@@ -1370,11 +1344,6 @@ void ShardDriver::encode_result(WireWriter& w,
   w.u64(totals_.dist.frames_forwarded);
   w.u64(totals_.dist.serialize_ns);
   w.u64(totals_.dist.deserialize_ns);
-  w.u32(static_cast<std::uint32_t>(lps_.size()));
-  for (const ShardLp& lp : lps_) {
-    w.u32(lp.id);
-    w.u64(lp.busy_ns);
-  }
   w.u32(static_cast<std::uint32_t>(harvest.size()));
   w.bytes(harvest.data(), harvest.size());
   // Clock alignment: driver epoch (absolute worker steady clock) plus the
@@ -1429,26 +1398,21 @@ void ShardDriver::encode_result(WireWriter& w,
       // own incarnation.
       live.bank->reset();
     }
-    const bool mesh =
-        config.topology == Topology::Mesh && config.num_shards > 1;
-    // Mesh: bind our own peer listener BEFORE saying HELLO, so the port can
-    // ride in the HELLO payload and every other worker can dial it.
-    int mesh_listen_fd = -1;
-    std::uint16_t mesh_port = 0;
-    if (mesh) {
-      mesh_listen_fd = util::net::listen_loopback(
-          0, static_cast<int>(config.num_shards), mesh_port, kNetCtx);
-    }
+    // Bind our own peer listener BEFORE saying HELLO, so the port can ride
+    // in the HELLO payload and every other worker can dial it.
+    std::uint16_t peer_port = 0;
+    const int peer_listen_fd = util::net::listen_loopback(
+        0, static_cast<int>(config.num_shards), peer_port, kNetCtx);
     const int fd = util::net::connect_loopback(port, kNetCtx);
     set_nodelay(fd);
 
     // HELLO must be the first (and, until the driver runs, only) frame on
     // this stream: the coordinator reads exactly one frame per connection
     // to learn which shard it is talking to. The payload carries our peer
-    // listener port (0 under Star). send_ns carries our raw clock (t0); the
-    // coordinator answers with a HELLO-ACK whose send_ns is ITS clock (t_c)
-    // and whose payload is the peer directory, read here while the socket is
-    // still blocking. Midpoint estimate: offset = t_c - (t0 + t1)/2. The ACK
+    // listener port. send_ns carries our raw clock (t0); the coordinator
+    // answers with a HELLO-ACK whose send_ns is ITS clock (t_c) and whose
+    // payload is the peer directory, read here while the socket is still
+    // blocking. Midpoint estimate: offset = t_c - (t0 + t1)/2. The ACK
     // is batched behind every worker's HELLO (the directory needs them all),
     // so the initial RTT bound is loose; TIME pings tighten it when the
     // attribution plane is armed.
@@ -1459,7 +1423,7 @@ void ShardDriver::encode_result(WireWriter& w,
     const std::uint64_t t0 = mono_ns();
     hello.send_ns = t0;
     std::uint8_t port_payload[2];
-    std::memcpy(port_payload, &mesh_port, 2);
+    std::memcpy(port_payload, &peer_port, 2);
     send_frame(fd, hello, port_payload);
     std::uint8_t ack_raw[kFrameHeaderBytes];
     if (!read_exact(fd, ack_raw, kFrameHeaderBytes)) {
@@ -1478,62 +1442,60 @@ void ShardDriver::encode_result(WireWriter& w,
     const std::int64_t offset = static_cast<std::int64_t>(ack.send_ns) -
                                 static_cast<std::int64_t>(t0 + rtt / 2);
 
-    // Mesh dial phase, deterministic: shard i dials every j < i (the TCP
-    // accept backlog guarantees those connects succeed even before shard j
-    // reaches accept()), then accepts every j > i. One stream per pair.
+    // Dial phase, deterministic: shard i dials every j < i (the TCP accept
+    // backlog guarantees those connects succeed even before shard j reaches
+    // accept()), then accepts every j > i. One stream per pair.
     std::vector<PeerLink> links(config.num_shards);
-    if (mesh) {
-      WireReader r(dir.data(), dir.size());
-      const std::uint32_t n = r.u32();
-      OTW_REQUIRE_MSG(n == config.num_shards,
-                      "peer directory size mismatch in HELLO-ACK");
-      std::vector<std::uint16_t> ports(n);
-      for (std::uint32_t j = 0; j < n; ++j) {
-        ports[j] = r.u16();
+    WireReader r(dir.data(), dir.size());
+    const std::uint32_t n = r.u32();
+    OTW_REQUIRE_MSG(n == config.num_shards,
+                    "peer directory size mismatch in HELLO-ACK");
+    std::vector<std::uint16_t> ports(n);
+    for (std::uint32_t j = 0; j < n; ++j) {
+      ports[j] = r.u16();
+    }
+    OTW_REQUIRE_MSG(r.done(), "trailing bytes after peer directory");
+    if (!recover) {
+      for (std::uint32_t j = 0; j < shard; ++j) {
+        const int pfd = util::net::connect_loopback(ports[j], kNetCtx);
+        set_nodelay(pfd);
+        FrameHeader peer_hello;
+        peer_hello.tag = kTagPeerHello;
+        peer_hello.src_lp = shard;
+        send_frame(pfd, peer_hello, nullptr);
+        links[j].fd = pfd;
       }
-      OTW_REQUIRE_MSG(r.done(), "trailing bytes after peer directory");
-      if (!recover) {
-        for (std::uint32_t j = 0; j < shard; ++j) {
-          const int pfd = util::net::connect_loopback(ports[j], kNetCtx);
-          set_nodelay(pfd);
-          FrameHeader peer_hello;
-          peer_hello.tag = kTagPeerHello;
-          peer_hello.src_lp = shard;
-          send_frame(pfd, peer_hello, nullptr);
-          links[j].fd = pfd;
-        }
+    }
+    // Fresh start: accept every higher-numbered shard's dial. Recovery:
+    // every survivor (re-)dials us, in whatever order they process the
+    // RECOVER broadcast.
+    const std::uint32_t expect_dials =
+        recover ? config.num_shards - 1 : config.num_shards - shard - 1;
+    for (std::uint32_t j = 0; j < expect_dials; ++j) {
+      int afd;
+      do {
+        afd = ::accept(peer_listen_fd, nullptr, nullptr);
+      } while (afd < 0 && errno == EINTR);
+      if (afd < 0) {
+        throw_errno("accept (peer link)");
       }
-      // Fresh start: accept every higher-numbered shard's dial. Recovery:
-      // every survivor (re-)dials us, in whatever order they process the
-      // RECOVER broadcast.
-      const std::uint32_t expect_dials =
-          recover ? config.num_shards - 1 : config.num_shards - shard - 1;
-      for (std::uint32_t j = 0; j < expect_dials; ++j) {
-        int afd;
-        do {
-          afd = ::accept(mesh_listen_fd, nullptr, nullptr);
-        } while (afd < 0 && errno == EINTR);
-        if (afd < 0) {
-          throw_errno("accept (peer link)");
-        }
-        set_nodelay(afd);
-        std::uint8_t raw[kFrameHeaderBytes];
-        if (!read_exact(afd, raw, kFrameHeaderBytes)) {
-          throw std::runtime_error("peer disconnected before PEER-HELLO");
-        }
-        const FrameHeader ph = decode_frame_header(raw);
-        OTW_REQUIRE_MSG(ph.tag == kTagPeerHello && ph.payload_len == 0 &&
-                            (recover ? ph.src_lp != shard : ph.src_lp > shard) &&
-                            ph.src_lp < config.num_shards &&
-                            links[ph.src_lp].fd < 0,
-                        "malformed PEER-HELLO");
-        links[ph.src_lp].fd = afd;
+      set_nodelay(afd);
+      std::uint8_t raw[kFrameHeaderBytes];
+      if (!read_exact(afd, raw, kFrameHeaderBytes)) {
+        throw std::runtime_error("peer disconnected before PEER-HELLO");
       }
-      ::close(mesh_listen_fd);
-      for (PeerLink& link : links) {
-        if (link.fd >= 0) {
-          set_nonblocking(link.fd);
-        }
+      const FrameHeader ph = decode_frame_header(raw);
+      OTW_REQUIRE_MSG(ph.tag == kTagPeerHello && ph.payload_len == 0 &&
+                          (recover ? ph.src_lp != shard : ph.src_lp > shard) &&
+                          ph.src_lp < config.num_shards &&
+                          links[ph.src_lp].fd < 0,
+                      "malformed PEER-HELLO");
+      links[ph.src_lp].fd = afd;
+    }
+    ::close(peer_listen_fd);
+    for (PeerLink& link : links) {
+      if (link.fd >= 0) {
+        set_nonblocking(link.fd);
       }
     }
     ShardDriver driver(shard, config, lps, fd, std::move(links), live, offset,
@@ -1577,29 +1539,27 @@ void ShardDriver::encode_result(WireWriter& w,
     result.tag = kTagResult;
     result.src_lp = shard;
     send_frame(fd, result, payload.data());
-    if (mesh) {
-      // Linger until the coordinator closes (it does once every RESULT is
-      // in): our peer links must stay open as long as any other worker might
-      // still flush toward us, or its writes would die on ECONNRESET.
-      std::uint8_t sink[4096];
-      for (;;) {
-        const ssize_t n = ::recv(fd, sink, sizeof sink, 0);
-        if (n > 0) {
-          continue;  // discard: nothing meaningful follows our RESULT
-        }
-        if (n == 0) {
-          break;
-        }
-        if (errno == EAGAIN || errno == EWOULDBLOCK) {
-          pollfd p{fd, POLLIN, 0};
-          ::poll(&p, 1, -1);
-          continue;
-        }
-        if (errno == EINTR) {
-          continue;
-        }
-        break;  // coordinator already gone; exiting is the right response
+    // Linger until the coordinator closes (it does once every RESULT is
+    // in): our peer links must stay open as long as any other worker might
+    // still flush toward us, or its writes would die on ECONNRESET.
+    std::uint8_t sink[4096];
+    for (;;) {
+      const ssize_t n = ::recv(fd, sink, sizeof sink, 0);
+      if (n > 0) {
+        continue;  // discard: nothing meaningful follows our RESULT
       }
+      if (n == 0) {
+        break;
+      }
+      if (errno == EAGAIN || errno == EWOULDBLOCK) {
+        pollfd p{fd, POLLIN, 0};
+        ::poll(&p, 1, -1);
+        continue;
+      }
+      if (errno == EINTR) {
+        continue;
+      }
+      break;  // coordinator already gone; exiting is the right response
     }
     ::close(fd);
     ::_exit(0);
@@ -1655,13 +1615,11 @@ EngineRunResult DistributedEngine::run(const std::vector<LpRunner*>& lps,
                       "placement names a shard that does not exist");
     }
   }
-  const bool mesh =
-      config_.topology == Topology::Mesh && config_.num_shards > 1;
-  OTW_REQUIRE_MSG(!migration.enabled() || mesh,
-                  "on-line migration requires the mesh topology");
+  OTW_REQUIRE_MSG(!migration.enabled() || config_.num_shards >= 2,
+                  "on-line migration requires >= 2 shards");
   const bool fault_on = fault.enabled;
-  OTW_REQUIRE_MSG(!fault_on || mesh,
-                  "fault tolerance requires the mesh topology and >= 2 shards");
+  OTW_REQUIRE_MSG(!fault_on || config_.num_shards >= 2,
+                  "fault tolerance requires >= 2 shards");
   OTW_REQUIRE_MSG(!fault_on || !migration.enabled(),
                   "fault tolerance and on-line migration are mutually "
                   "exclusive (a snapshot would have to version the owner map)");
@@ -1697,7 +1655,6 @@ EngineRunResult DistributedEngine::run(const std::vector<LpRunner*>& lps,
   }
 
   EngineRunResult result;
-  result.lp_busy_ns.assign(lps.size(), 0);
   result.dist.num_shards = num_shards;
   result.shard_clocks.assign(num_shards, {});
   result.shard_trace_shift_ns.assign(num_shards, 0);
@@ -1715,7 +1672,7 @@ EngineRunResult DistributedEngine::run(const std::vector<LpRunner*>& lps,
     // second sweep.
     std::vector<Conn> conns(num_shards);
     std::vector<int> shard_conn(num_shards, -1);  // shard -> index in conns
-    std::vector<std::uint16_t> mesh_ports(num_shards, 0);
+    std::vector<std::uint16_t> peer_ports(num_shards, 0);
     for (std::uint32_t i = 0; i < num_shards; ++i) {
       int fd;
       do {
@@ -1737,7 +1694,7 @@ EngineRunResult DistributedEngine::run(const std::vector<LpRunner*>& lps,
       if (!read_exact(fd, port_raw, 2)) {
         throw std::runtime_error("worker disconnected mid HELLO");
       }
-      std::memcpy(&mesh_ports[hello.src_lp], port_raw, 2);
+      std::memcpy(&peer_ports[hello.src_lp], port_raw, 2);
       set_nodelay(fd);
       conns[i].fd = fd;
       conns[i].shard = hello.src_lp;
@@ -1751,7 +1708,7 @@ EngineRunResult DistributedEngine::run(const std::vector<LpRunner*>& lps,
       WireWriter w(dir);
       w.u32(num_shards);
       for (std::uint32_t s = 0; s < num_shards; ++s) {
-        w.u16(mesh_ports[s]);
+        w.u16(peer_ports[s]);
       }
     }
     for (Conn& conn : conns) {
@@ -1835,7 +1792,7 @@ EngineRunResult DistributedEngine::run(const std::vector<LpRunner*>& lps,
     // order-independent settledness check: a destination's stale DONE (sent
     // before its MIGRATE arrived) can never satisfy it.
     const auto try_finish = [&] {
-      if (!mesh || finish_sent || migration_inflight ||
+      if (finish_sent || migration_inflight ||
           snap_phase != SnapPhase::Idle) {
         return;
       }
@@ -2028,7 +1985,7 @@ EngineRunResult DistributedEngine::run(const std::vector<LpRunner*>& lps,
       }
       std::uint16_t new_port = 0;
       std::memcpy(&new_port, port_raw, 2);
-      mesh_ports[dead] = new_port;
+      peer_ports[dead] = new_port;
       set_nodelay(nfd);
       dead_conn.fd = nfd;
       std::vector<std::uint8_t> dir2;
@@ -2036,7 +1993,7 @@ EngineRunResult DistributedEngine::run(const std::vector<LpRunner*>& lps,
         WireWriter w(dir2);
         w.u32(num_shards);
         for (std::uint32_t s = 0; s < num_shards; ++s) {
-          w.u16(mesh_ports[s]);
+          w.u16(peer_ports[s]);
         }
       }
       FrameHeader ack;
@@ -2190,16 +2147,12 @@ EngineRunResult DistributedEngine::run(const std::vector<LpRunner*>& lps,
       next_snap_ns = mono_ns() + initial_gap_ns;
     };
 
-    // Phase 2: control loop. Star relays every frame in arrival order (the
-    // order-preserving relay is the FIFO guarantee); Mesh only sees control
-    // frames here — GVT tokens/announces routed by the owner map — plus the
-    // migration protocol (DONE/MIGRATED in, MIGRATE_CMD/REBIND/FINISH out).
+    // Phase 2: control loop. Only control frames arrive here — GVT
+    // tokens/announces, relayed by the owner map — plus the termination,
+    // migration and snapshot protocols (DONE/MIGRATED/SNAP_* in,
+    // MIGRATE_CMD/REBIND/FINISH/SNAP_CTL out).
     std::uint32_t results = 0;
     std::vector<pollfd> pfds(num_shards);
-    if (fault_on && snap_debug()) {
-      std::fprintf(stderr, "[coord] relay loop, fault on, first epoch in %lld ms\n",
-                   static_cast<long long>(next_snap_ns - mono_ns()) / 1'000'000);
-    }
     while (results < num_shards) {
       for (std::uint32_t i = 0; i < num_shards; ++i) {
         pfds[i].fd = conns[i].done ? -1 : conns[i].fd;
@@ -2257,9 +2210,6 @@ EngineRunResult DistributedEngine::run(const std::vector<LpRunner*>& lps,
         snap_have_prev = false;
         for (auto& b : snap_blobs) {
           b.clear();
-        }
-        if (snap_debug()) {
-          std::fprintf(stderr, "[coord] epoch %u: Stop+Poll\n", snap_epoch);
         }
         broadcast_snap_ctl(kSnapStop, snap_epoch);
         begin_poll_round();
@@ -2353,14 +2303,6 @@ EngineRunResult DistributedEngine::run(const std::vector<LpRunner*>& lps,
             shard_stats.serialize_ns = reader.u64();
             shard_stats.deserialize_ns = reader.u64();
             result.dist.add(shard_stats);
-            const std::uint32_t n_local = reader.u32();
-            for (std::uint32_t k = 0; k < n_local; ++k) {
-              const std::uint32_t lp = reader.u32();
-              const std::uint64_t busy = reader.u64();
-              OTW_REQUIRE(lp < result.lp_busy_ns.size());
-              // += not =: a migrated LP accrues busy time on both shards.
-              result.lp_busy_ns[lp] += busy;
-            }
             const std::uint32_t blob_len = reader.u32();
             payloads_[conn.shard].resize(blob_len);
             reader.bytes(payloads_[conn.shard].data(), blob_len);
@@ -2438,8 +2380,7 @@ EngineRunResult DistributedEngine::run(const std::vector<LpRunner*>& lps,
                             echo_frame + sizeof echo_frame);
             flush_c(conn);
           } else if (header.tag == kTagDone) {
-            OTW_REQUIRE_MSG(mesh && header.payload_len == 8,
-                            "unexpected DONE frame");
+            OTW_REQUIRE_MSG(header.payload_len == 8, "malformed DONE frame");
             conn.done_valid = true;
             std::memcpy(&conn.done_migrations_in, frame + kFrameHeaderBytes, 8);
             any_done = true;
@@ -2452,8 +2393,7 @@ EngineRunResult DistributedEngine::run(const std::vector<LpRunner*>& lps,
             }
             try_finish();
           } else if (header.tag == kTagMigrated) {
-            OTW_REQUIRE_MSG(mesh && migration_inflight,
-                            "unexpected MIGRATED frame");
+            OTW_REQUIRE_MSG(migration_inflight, "unexpected MIGRATED frame");
             WireReader reader(frame + kFrameHeaderBytes, header.payload_len);
             const LpId lp = reader.u32();
             const std::uint32_t to = reader.u32();
@@ -2492,15 +2432,6 @@ EngineRunResult DistributedEngine::run(const std::vector<LpRunner*>& lps,
             const std::uint64_t b = reader.u64();
             // Round id for counters ACKs, epoch for accept/decline.
             const std::uint32_t seq = reader.u32();
-            if (snap_debug()) {
-              std::fprintf(stderr,
-                           "[coord] SNAP_ACK shard=%u kind=%u a=%llu b=%llu "
-                           "seq=%u phase=%u\n",
-                           conn.shard, kind,
-                           static_cast<unsigned long long>(a),
-                           static_cast<unsigned long long>(b), seq,
-                           static_cast<unsigned>(snap_phase));
-            }
             if (kind == kSnapAckCounters && seq == snap_poll_round &&
                 (snap_phase == SnapPhase::Settle ||
                  snap_phase == SnapPhase::Resettle)) {
@@ -2591,10 +2522,10 @@ EngineRunResult DistributedEngine::run(const std::vector<LpRunner*>& lps,
           } else {
             OTW_REQUIRE_MSG(header.tag < kReservedTagBase,
                             "unexpected control frame from worker");
-            // Under Mesh the data plane bypasses the coordinator entirely;
-            // only control-plane (GVT) frames may still be relayed here.
-            OTW_REQUIRE_MSG(!mesh || (header.flags & kFlagControl) != 0,
-                            "data frame relayed under mesh topology");
+            // The data plane bypasses the coordinator entirely; only
+            // control-plane (GVT) frames are relayed here.
+            OTW_REQUIRE_MSG((header.flags & kFlagControl) != 0,
+                            "data frame on a coordinator stream");
             OTW_REQUIRE(header.dst_lp < lps.size());
             const std::uint32_t dst_shard = owners[header.dst_lp];
             OTW_REQUIRE(dst_shard < num_shards);
@@ -2636,7 +2567,7 @@ EngineRunResult DistributedEngine::run(const std::vector<LpRunner*>& lps,
     }
 
     for (Conn& conn : conns) {
-      ::close(conn.fd);  // mesh workers linger on this close before exiting
+      ::close(conn.fd);  // workers linger on this close before exiting
       conn.fd = -1;
     }
     if (fault_on) {

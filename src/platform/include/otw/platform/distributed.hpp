@@ -1,29 +1,23 @@
 // Multi-process engine: LPs sharded across worker processes over TCP.
 //
 // The coordinator (the calling process) binds a loopback TCP listener and
-// forks one worker process per shard. Two data-plane topologies:
+// forks one worker process per shard. Workers hold direct TCP links to every
+// other worker (the peer mesh), dialed at startup from a coordinator-brokered
+// peer directory (each HELLO carries the worker's own listener port; the
+// HELLO-ACK answers with the full port table). Data frames travel one hop on
+// the (src,dst) peer link; the coordinator keeps only control-plane duties
+// (HELLO/RESULT/STATS, GVT tokens and announces, clock pings, the
+// flight-recorder feed, and the migration protocol below).
 //
-//   Topology::Mesh (default) — workers hold direct TCP links to every other
-//       worker, dialed at startup from a coordinator-brokered peer directory
-//       (each HELLO carries the worker's own listener port; the HELLO-ACK
-//       answers with the full port table). Data frames travel one hop on the
-//       (src,dst) peer link; the coordinator keeps only control-plane duties
-//       (HELLO/RESULT/STATS, GVT tokens and announces, clock pings, the
-//       flight-recorder feed, and the migration protocol below).
-//
-//   Topology::Star — every frame transits the coordinator relay in arrival
-//       order (the legacy data plane, kept for A/B comparisons; it is the
-//       scaling ceiling BENCH_distributed.json documents).
-//
-// Both topologies preserve per-(src,dst) FIFO — one ordered TCP stream per
-// directed pair (a peer link, or the in-order relay) — which is the
-// non-overtaking guarantee the Time Warp kernel requires (an anti-message
-// can never overtake its positive message on the same path).
+// Each directed pair of shards exchanges data frames over exactly one ordered
+// TCP stream (the peer link), which is the per-(src,dst) FIFO — the
+// non-overtaking guarantee the Time Warp kernel requires (an anti-message can
+// never overtake its positive message on the same path).
 //
 // LP -> shard placement is a table (DistributedConfig::placement, filled by
-// a partitioner or defaulting to round-robin), and under Mesh it can change
-// mid-run: the coordinator may order an LP migrated (MigrationHooks), the
-// source shard freezes it at a GVT cut and ships it over the peer link in a
+// a partitioner or defaulting to round-robin), and it can change mid-run:
+// the coordinator may order an LP migrated (MigrationHooks), the source
+// shard freezes it at a GVT cut and ships it over the peer link in a
 // MIGRATE frame, and the coordinator rebinds routing with an epoch-tagged
 // REBIND broadcast. Owner maps only ever advance to higher epochs, so
 // forwarding chains for in-flight frames are acyclic and terminate.
@@ -54,7 +48,6 @@
 #include <vector>
 
 #include "otw/obs/trace.hpp"
-#include "otw/platform/cost_model.hpp"
 #include "otw/platform/engine.hpp"
 
 namespace otw::platform {
@@ -62,10 +55,10 @@ namespace otw::platform {
 class WireReader;
 class WireWriter;
 
-/// Data-plane shape of the distributed engine. Control frames always go
-/// through the coordinator regardless of topology.
+/// Data-plane shape of the distributed engine. The peer mesh is the only
+/// one and no engine reads this; the enum (and KernelConfig::Engine::
+/// topology) stays only because perfbench/src/main.cpp names it.
 enum class Topology : std::uint8_t {
-  Star,  ///< all frames relayed by the coordinator (legacy data plane)
   Mesh,  ///< direct shard-to-shard links; coordinator is control-plane only
 };
 
@@ -74,9 +67,6 @@ struct DistributedConfig {
   /// (lp % num_shards) so the GVT token ring alternates shards — the
   /// adversarial layout for the wire protocol; `placement` overrides it.
   std::uint32_t num_shards = 2;
-  /// Data-plane topology. Mesh is the default; Star is kept for A/B
-  /// comparisons and as the BENCH_distributed.json baseline.
-  Topology topology = Topology::Mesh;
   /// Initial LP -> shard table (index = LpId). Empty = round-robin
   /// (shard_of_lp). When set, must cover every LP with shard < num_shards;
   /// a partitioner (tw/partition.hpp) fills this from the model's send
@@ -86,9 +76,6 @@ struct DistributedConfig {
   /// TCP port for the coordinator's loopback listener; 0 picks an ephemeral
   /// port (the default — no clashes between concurrent runs).
   std::uint16_t port = 0;
-  /// Cost model for kernel-level cost charging. charge() only accounts (no
-  /// spinning): the engine runs on real wall clocks.
-  CostModel costs = CostModel::free();
   /// Safety valve: abort a worker after this many LP step() invocations.
   std::uint64_t max_steps = 2'000'000'000;
   /// Longest a fully idle worker sleeps in poll() before rechecking local
@@ -181,7 +168,7 @@ struct MigrationDecision {
   std::uint32_t to_shard = 0;
 };
 
-/// On-line migration control (Mesh only). When enabled, the coordinator
+/// On-line migration control (>= 2 shards). When enabled, the coordinator
 /// calls `decide` every period_ms with the current owner map; a returned
 /// decision triggers the MIGRATE_CMD -> MIGRATE -> MIGRATED -> REBIND
 /// sequence. At most one migration is in flight at a time, and the
@@ -227,9 +214,9 @@ struct LiveStatsHooks {
   /// disables all recording. Arming the bank also enables clock-offset
   /// refresh pings (TIME frames) on the worker streams.
   obs::hist::Bank* bank = nullptr;
-  /// Coordinator side, optional: observe every relayed data frame (flight
-  /// recorder feed). Called on the relay loop thread after the frame is
-  /// queued to its destination; must be fast.
+  /// Coordinator side, optional: observe every relayed control frame
+  /// (flight recorder feed). Called on the relay loop thread after the
+  /// frame is queued to its destination; must be fast.
   std::function<void(std::uint32_t src_shard, std::uint32_t dst_shard,
                      std::uint16_t tag, std::uint32_t frame_len,
                      std::uint64_t send_ns, std::uint64_t coord_now_ns)>
@@ -244,7 +231,7 @@ struct LiveStatsHooks {
   }
 };
 
-/// Shard-level checkpoint/restart (Mesh only; mutually exclusive with
+/// Shard-level checkpoint/restart (>= 2 shards; mutually exclusive with
 /// migration — owners stay at the initial placement so a snapshot never has
 /// to version the owner map). When enabled, the coordinator periodically
 /// runs the SNAPSHOT protocol (SNAP_CTL stop -> settle -> cut -> settle ->
@@ -299,7 +286,7 @@ class DistributedEngine {
   /// Throws std::runtime_error on socket failures, worker crashes or step
   /// overrun. `harvest` may be null (no shard payloads collected); `live`
   /// may be default (no STATS streaming); `migration` may be default (static
-  /// placement; requires Topology::Mesh when enabled).
+  /// placement; requires num_shards >= 2 when enabled).
   EngineRunResult run(const std::vector<LpRunner*>& lps, HarvestFn harvest,
                       LiveStatsHooks live = {}, MigrationHooks migration = {},
                       FaultHooks fault = {});

@@ -86,7 +86,8 @@ class LpContext {
 
   /// Accounts `ns` nanoseconds of CPU work to this LP. On the simulated
   /// engine this advances the modeled clock; on the threaded engine it is
-  /// a calibrated spin (or a no-op when cost charging is disabled).
+  /// a calibrated spin (or a no-op when cost charging is disabled); on the
+  /// distributed engine it is always a no-op.
   virtual void charge(std::uint64_t ns) noexcept = 0;
 
   /// Ships a message to `dst` (self-sends are allowed). Sender-side send
@@ -220,7 +221,8 @@ struct EngineRunResult {
   /// Modeled makespan (simulated engine) or elapsed wall time (threaded),
   /// in nanoseconds.
   std::uint64_t execution_time_ns = 0;
-  /// Per-LP busy time in nanoseconds (charged work).
+  /// Per-LP busy time in nanoseconds (charged work). Empty on the
+  /// distributed engine, where charge() is a no-op.
   std::vector<std::uint64_t> lp_busy_ns;
   /// Total physical messages transported between LPs.
   std::uint64_t physical_messages = 0;

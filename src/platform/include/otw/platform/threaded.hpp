@@ -28,10 +28,6 @@ struct ThreadedConfig {
   bool spin_on_charge = false;
   /// Wall-nanoseconds actually spun per charged nanosecond.
   double spin_scale = 1.0;
-  /// Legacy knob of the one-thread-per-LP engine (sleep between idle polls).
-  /// The work-stealing scheduler parks event-driven and ignores it; kept so
-  /// existing configurations still compile.
-  std::uint32_t idle_sleep_us = 50;
   /// Worker threads; 0 = min(hardware concurrency, number of LPs).
   std::uint32_t num_workers = 0;
   /// Per-LP mailbox ring slots (rounded up to a power of two). Overflowing

@@ -122,14 +122,14 @@ struct KernelConfig {
     /// Distributed engine: worker processes (each owns num_lps/num_shards
     /// LPs under RoundRobin; CommGraph balances by edge cut).
     std::uint32_t num_shards = 2;
-    /// Distributed data plane: direct peer links (Mesh, the default) or the
-    /// legacy coordinator relay (Star, kept for A/B comparisons).
+    /// Unused: the peer mesh is the distributed engine's only data plane.
+    /// Kept, with its single value, because perfbench/src/main.cpp sets it.
     platform::Topology topology = platform::Topology::Mesh;
     /// Initial LP -> shard placement policy (Distributed only).
     PartitionKind partition = PartitionKind::CommGraph;
   } engine;
 
-  /// On-line LP migration (Distributed engine, Mesh topology only). The
+  /// On-line LP migration (Distributed engine, >= 2 shards). The
   /// coordinator samples per-shard work every period_ms via the live plane,
   /// feeds the <O,I,S,T,P> load-balance controller (core/
   /// load_balance_controller.hpp), and past the dead-zoned threshold orders
@@ -147,7 +147,7 @@ struct KernelConfig {
   } migration;
 
   /// Shard-level checkpoint/restart with automatic failure recovery
-  /// (Distributed engine, Mesh topology only; DESIGN.md section 8c). When
+  /// (Distributed engine, >= 2 shards; DESIGN.md section 8c). When
   /// enabled, the coordinator schedules stop-the-world snapshot epochs via a
   /// SnapshotScheduleController tuned against `recovery_budget_ms`, retains
   /// the last complete cut, and — on a worker-process death or a watchdog

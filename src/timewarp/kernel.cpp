@@ -445,10 +445,6 @@ std::vector<std::string> KernelConfig::validate() const {
       fail("migration.enabled requires EngineKind::Distributed (only the "
            "sharded engine has shards to move LPs between)");
     }
-    if (engine.topology != platform::Topology::Mesh) {
-      fail("migration.enabled requires the Mesh topology (MIGRATE frames "
-           "travel the shard-to-shard peer links)");
-    }
     if (engine.num_shards < 2) {
       fail("migration.enabled requires engine.num_shards >= 2");
     }
@@ -480,10 +476,6 @@ std::vector<std::string> KernelConfig::validate() const {
     if (engine.kind != EngineKind::Distributed) {
       fail("fault.enabled requires EngineKind::Distributed (only worker "
            "processes can die and be re-forked)");
-    }
-    if (engine.topology != platform::Topology::Mesh) {
-      fail("fault.enabled requires the Mesh topology (recovery re-dials the "
-           "shard-to-shard peer links)");
     }
     if (engine.num_shards < 2) {
       fail("fault.enabled requires engine.num_shards >= 2 (with one shard "
@@ -566,7 +558,6 @@ RunResult run(const Model& model, const KernelConfig& config,
     case EngineKind::Distributed: {
       platform::DistributedConfig dist = tuning.distributed;
       dist.num_shards = config.engine.num_shards;
-      dist.topology = config.engine.topology;
       if (dist.placement.empty()) {
         dist.placement = partition_lps(model, config.num_lps,
                                        config.engine.num_shards,

@@ -287,7 +287,6 @@ class ScriptLp final : public LpRunner {
 /// the wakeup at the requested deadline with no traffic at all.
 TEST(ThreadedWakeup, IdleLpIsResteppedAtItsRequestedDeadline) {
   ThreadedConfig cfg;
-  cfg.idle_sleep_us = 500'000;  // old engine: first idle re-poll after 0.5s
   std::atomic<int> steps{0};
   ScriptLp lp([&steps](LpContext& ctx) {
     if (steps.fetch_add(1) == 0) {

@@ -30,12 +30,6 @@ class ScriptLp final : public LpRunner {
   Step step_;
 };
 
-ThreadedConfig test_config() {
-  ThreadedConfig cfg;
-  cfg.idle_sleep_us = 1;
-  return cfg;
-}
-
 TEST(Threaded, RunsAllLpsToCompletion) {
   std::atomic<int> total{0};
   auto make = [&total](int n) {
@@ -45,7 +39,7 @@ TEST(Threaded, RunsAllLpsToCompletion) {
     };
   };
   ScriptLp a(make(10)), b(make(20)), c(make(30));
-  ThreadedEngine engine(test_config());
+  ThreadedEngine engine(ThreadedConfig{});
   const auto result = engine.run({&a, &b, &c});
   EXPECT_EQ(total.load(), 60);
   EXPECT_EQ(result.steps, 60u);
@@ -68,7 +62,7 @@ TEST(Threaded, DeliversMessagesAcrossThreads) {
     }
     return received.load() == kCount ? StepStatus::Done : StepStatus::Idle;
   });
-  ThreadedEngine engine(test_config());
+  ThreadedEngine engine(ThreadedConfig{});
   const auto result = engine.run({&sender, &receiver});
   EXPECT_EQ(received.load(), kCount);
   EXPECT_EQ(result.physical_messages, static_cast<std::uint64_t>(kCount));
@@ -81,7 +75,7 @@ TEST(Threaded, PropagatesLpExceptions) {
   ScriptLp good([count = 0](LpContext&) mutable {
     return ++count == 3 ? StepStatus::Done : StepStatus::Active;
   });
-  ThreadedEngine engine(test_config());
+  ThreadedEngine engine(ThreadedConfig{});
   EXPECT_THROW(engine.run({&bad, &good}), std::runtime_error);
 }
 
@@ -90,13 +84,13 @@ TEST(Threaded, ChargeAccumulatesBusyTime) {
     ctx.charge(1'000);
     return ++count == 5 ? StepStatus::Done : StepStatus::Active;
   });
-  ThreadedEngine engine(test_config());
+  ThreadedEngine engine(ThreadedConfig{});
   const auto result = engine.run({&lp});
   EXPECT_EQ(result.lp_busy_ns[0], 5'000u);
 }
 
 TEST(Threaded, SpinOnChargeConsumesWallTime) {
-  ThreadedConfig cfg = test_config();
+  ThreadedConfig cfg;
   cfg.spin_on_charge = true;
   ScriptLp lp([count = 0](LpContext& ctx) mutable {
     ctx.charge(2'000'000);  // 2 ms
@@ -108,7 +102,7 @@ TEST(Threaded, SpinOnChargeConsumesWallTime) {
 }
 
 TEST(Threaded, RejectsEmptyLps) {
-  ThreadedEngine engine(test_config());
+  ThreadedEngine engine(ThreadedConfig{});
   EXPECT_THROW(engine.run({}), ContractViolation);
 }
 

@@ -195,40 +195,48 @@ TEST_P(QueueParity, EveryQueueKindCommitsIdenticalDigestsInProcess) {
 INSTANTIATE_TEST_SUITE_P(Seeds, QueueParity,
                          ::testing::Range<std::uint64_t>(0, 8));
 
-/// Fourth differential column: the multi-process distributed engine, at 2 and
-/// 4 shards, against the same sequential ground truth. Separate suite name on
-/// purpose (see file header). Runs a subset of the seed range — each case
-/// forks real worker processes and opens real sockets.
+/// Fourth differential column: the multi-process distributed engine, at 1, 2
+/// and 4 shards with round-robin placement (the layout with the most remote
+/// traffic), against the same sequential ground truth. One shard still forks
+/// a worker and ends through DONE/FINISH like any other shard count.
+/// Separate suite name on purpose (see file header). Runs a subset of the
+/// seed range — each case forks real worker processes and opens real sockets.
 class DistParity : public ::testing::TestWithParam<std::uint64_t> {};
+
+/// One sequential-parity pass over {1, 2, 4} shards with `partition`
+/// placement. DistParity and MeshParity split the placement axis.
+void expect_shards_match_sequential(std::uint64_t seed,
+                                    PartitionKind partition,
+                                    const char* engine) {
+  const DiffSetup s = derive_setup(seed);
+  const Model model = apps::phold::build_model(s.app);
+  const SequentialResult seq = run_sequential(model, s.kernel.end_time);
+  ASSERT_GT(seq.events_processed, 0u);
+
+  KernelConfig kc = s.kernel;
+  kc.engine.partition = partition;
+  for (const std::uint32_t shards : {1u, 2u, 4u}) {
+    if (shards > s.kernel.num_lps) {
+      continue;  // validate() rejects a shard owning no LPs
+    }
+    SCOPED_TRACE("shards = " + std::to_string(shards));
+    const RunResult r =
+        run(model, kc.with_engine(EngineKind::Distributed, shards));
+    expect_matches(r, seq, engine);
+    EXPECT_EQ(r.dist.num_shards, shards);
+    // A lone shard has no peer to send to; any larger mesh must.
+    EXPECT_EQ(r.dist.frames_sent > 0, shards > 1);
+    EXPECT_EQ(r.dist.migrations, 0u);  // no controller armed
+  }
+}
 
 TEST_P(DistParity, DistributedShardsMatchSequential) {
   const std::uint64_t seed = GetParam();
   SCOPED_TRACE("distparity seed = " + std::to_string(seed) +
                " (re-run: --gtest_filter='*DistParity*/" +
                std::to_string(seed) + "')");
-  const DiffSetup s = derive_setup(seed);
-  const Model model = apps::phold::build_model(s.app);
-  const SequentialResult seq = run_sequential(model, s.kernel.end_time);
-  ASSERT_GT(seq.events_processed, 0u);
-
-  // Pinned to the star relay with round-robin placement: this suite is the
-  // legacy-data-path baseline that MeshParity below A/Bs against, so it must
-  // keep exercising the coordinator forwarding loop even though the kernel
-  // default is now the peer-to-peer mesh.
-  KernelConfig star = s.kernel;
-  star.engine.topology = platform::Topology::Star;
-  star.engine.partition = PartitionKind::RoundRobin;
-  for (const std::uint32_t shards : {2u, 4u}) {
-    if (shards > s.kernel.num_lps) {
-      continue;  // validate() rejects a shard owning no LPs
-    }
-    SCOPED_TRACE("shards = " + std::to_string(shards));
-    const RunResult r =
-        run(model, star.with_engine(EngineKind::Distributed, shards));
-    expect_matches(r, seq, "distributed");
-    EXPECT_EQ(r.dist.num_shards, shards);
-    EXPECT_GT(r.dist.frames_sent, 0u);
-  }
+  expect_shards_match_sequential(seed, PartitionKind::RoundRobin,
+                                 "distributed");
 }
 
 /// Attribution-plane leg of the distributed column: the same seeds with the
@@ -246,8 +254,7 @@ TEST_P(DistParity, AttributionArmedShardsMatchSequential) {
   ASSERT_GT(seq.events_processed, 0u);
 
   KernelConfig armed = s.kernel;
-  armed.engine.topology = platform::Topology::Star;  // baseline data path
-  armed.engine.partition = PartitionKind::RoundRobin;
+  armed.engine.partition = PartitionKind::RoundRobin;  // most remote traffic
   armed.observability.live.enabled = true;
   armed.observability.live.histograms = true;
   armed.observability.flight.enabled = true;
@@ -285,8 +292,7 @@ TEST_P(DistParity, DistributedShardsAreQueueKindInvariant) {
   for (const QueueKind kind : {QueueKind::SkipList, QueueKind::LadderQueue}) {
     SCOPED_TRACE(to_string(kind));
     KernelConfig kc = s.kernel;
-    kc.engine.topology = platform::Topology::Star;  // baseline data path
-    kc.engine.partition = PartitionKind::RoundRobin;
+    kc.engine.partition = PartitionKind::RoundRobin;  // most remote traffic
     kc.engine.queue = kind;
     expect_matches(run(model, kc.with_engine(EngineKind::Distributed, 2)), seq,
                    "distributed");
@@ -296,12 +302,11 @@ TEST_P(DistParity, DistributedShardsAreQueueKindInvariant) {
 INSTANTIATE_TEST_SUITE_P(Seeds, DistParity,
                          ::testing::Range<std::uint64_t>(0, 8));
 
-/// Fifth differential column: the peer-to-peer mesh data plane — direct
-/// shard-to-shard links dialed from the coordinator's peer directory, with
-/// comm-graph placement — at 2 and 4 shards against the same sequential
-/// ground truth. The A/B counterpart of DistParity's star baseline. Separate
-/// suite name for the same reason as DistParity: it forks, so the tsan-stress
-/// filter must not pick it up.
+/// Fifth differential column: the same {1, 2, 4}-shard mesh runs with
+/// comm-graph placement, which keeps most traffic shard-local and so walks
+/// different peer-link and GVT interleavings than DistParity's round-robin.
+/// Separate suite name for the same reason as DistParity: it forks, so the
+/// tsan-stress filter must not pick it up.
 class MeshParity : public ::testing::TestWithParam<std::uint64_t> {};
 
 TEST_P(MeshParity, MeshShardsMatchSequential) {
@@ -309,26 +314,7 @@ TEST_P(MeshParity, MeshShardsMatchSequential) {
   SCOPED_TRACE("meshparity seed = " + std::to_string(seed) +
                " (re-run: --gtest_filter='*MeshParity*/" +
                std::to_string(seed) + "')");
-  const DiffSetup s = derive_setup(seed);
-  const Model model = apps::phold::build_model(s.app);
-  const SequentialResult seq = run_sequential(model, s.kernel.end_time);
-  ASSERT_GT(seq.events_processed, 0u);
-
-  KernelConfig mesh = s.kernel;
-  mesh.engine.topology = platform::Topology::Mesh;
-  mesh.engine.partition = PartitionKind::CommGraph;
-  for (const std::uint32_t shards : {2u, 4u}) {
-    if (shards > s.kernel.num_lps) {
-      continue;  // validate() rejects a shard owning no LPs
-    }
-    SCOPED_TRACE("shards = " + std::to_string(shards));
-    const RunResult r =
-        run(model, mesh.with_engine(EngineKind::Distributed, shards));
-    expect_matches(r, seq, "mesh");
-    EXPECT_EQ(r.dist.num_shards, shards);
-    EXPECT_GT(r.dist.frames_sent, 0u);
-    EXPECT_EQ(r.dist.migrations, 0u);  // no controller armed
-  }
+  expect_shards_match_sequential(seed, PartitionKind::CommGraph, "mesh");
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, MeshParity,
@@ -355,7 +341,6 @@ TEST_P(MigrationParity, ForcedMigrationMatchesSequential) {
   ASSERT_GT(seq.events_processed, 0u);
 
   KernelConfig kc = s.kernel;
-  kc.engine.topology = platform::Topology::Mesh;
   kc.engine.partition = PartitionKind::RoundRobin;
   kc.migration.enabled = true;
   kc.migration.period_ms = 1;

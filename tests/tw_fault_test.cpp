@@ -1,4 +1,4 @@
-// Fault-tolerance integration tests (Distributed engine, Mesh topology).
+// Fault-tolerance integration tests (Distributed engine, peer mesh).
 //
 //   KillParity  - 8-seed differential: a worker is SIGKILLed right after a
 //                 committed snapshot epoch (kc.fault.inject_kill_shard), the

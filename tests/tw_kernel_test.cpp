@@ -127,9 +127,7 @@ TEST(Kernel, ThreadedEngineMatchesSequential) {
   const auto app = small_phold(8, 2);
   const Model model = apps::phold::build_model(app);
   KernelConfig kc = kernel_config(2, VirtualTime{2'500});
-  platform::ThreadedConfig tc;
-  tc.idle_sleep_us = 1;
-  const RunResult tw = run(model, kc.with_engine(EngineKind::Threaded), {.threaded = tc});
+  const RunResult tw = run(model, kc.with_engine(EngineKind::Threaded));
   const SequentialResult seq = run_sequential(model, kc.end_time);
   EXPECT_EQ(tw.digests, seq.digests);
   EXPECT_EQ(tw.stats.total_committed(), seq.events_processed);

@@ -233,9 +233,7 @@ TEST(Observability, ThreadedEngineCollectsWallClockTraces) {
   kc.end_time = VirtualTime{8'000};
   kc.observability.tracing = true;
   kc.observability.profiling = true;
-  platform::ThreadedConfig tc;
-  tc.idle_sleep_us = 1;
-  const RunResult r = run(model, kc.with_engine(EngineKind::Threaded), {.threaded = tc});
+  const RunResult r = run(model, kc.with_engine(EngineKind::Threaded));
 
   EXPECT_FALSE(r.trace.empty());
   EXPECT_EQ(r.lp_phases.size(), 2u);

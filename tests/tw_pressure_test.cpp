@@ -213,9 +213,7 @@ TEST(Pressure, ThreadedKernelMatchesSequentialUnderBudget) {
   kc.end_time = VirtualTime{3'000};
   const SequentialResult seq = run_sequential(model, kc.end_time);
 
-  platform::ThreadedConfig tc;
-  tc.idle_sleep_us = 1;
-  const RunResult threads = run(model, kc.with_engine(EngineKind::Threaded), {.threaded = tc});
+  const RunResult threads = run(model, kc.with_engine(EngineKind::Threaded));
   EXPECT_EQ(threads.digests, seq.digests);
 }
 

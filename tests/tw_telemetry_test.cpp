@@ -225,9 +225,7 @@ TEST(Telemetry, PhasedModelStillMatchesAcrossKernels) {
   const SequentialResult seq = run_sequential(model, kc.end_time);
   const RunResult now = run(model, kc, {.simulated_now = telemetry_now()});
   EXPECT_EQ(now.digests, seq.digests);
-  platform::ThreadedConfig tc;
-  tc.idle_sleep_us = 1;
-  const RunResult threads = run(model, kc.with_engine(EngineKind::Threaded), {.threaded = tc});
+  const RunResult threads = run(model, kc.with_engine(EngineKind::Threaded));
   EXPECT_EQ(threads.digests, seq.digests);
 }
 

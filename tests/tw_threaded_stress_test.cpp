@@ -12,12 +12,6 @@
 namespace otw::tw {
 namespace {
 
-platform::ThreadedConfig fast_threads() {
-  platform::ThreadedConfig tc;
-  tc.idle_sleep_us = 1;
-  return tc;
-}
-
 TEST(ThreadedStress, PholdRepeatedRunsMatchSequential) {
   apps::phold::PholdConfig app;
   app.num_objects = 12;
@@ -38,7 +32,7 @@ TEST(ThreadedStress, PholdRepeatedRunsMatchSequential) {
   kc.checkpoint.dynamic = true;
 
   for (int trial = 0; trial < 3; ++trial) {
-    const RunResult r = run(model, kc.with_engine(EngineKind::Threaded), {.threaded = fast_threads()});
+    const RunResult r = run(model, kc.with_engine(EngineKind::Threaded));
     EXPECT_EQ(r.digests, seq.digests) << "trial " << trial;
     EXPECT_EQ(r.stats.total_committed(), seq.events_processed) << "trial " << trial;
   }
@@ -58,7 +52,7 @@ TEST(ThreadedStress, SmmpWithAggregationMatchesSequential) {
   kc.num_lps = 2;
   kc.aggregation.policy = comm::AggregationPolicy::Adaptive;
   kc.aggregation.window_us = 50.0;
-  const RunResult r = run(model, kc.with_engine(EngineKind::Threaded), {.threaded = fast_threads()});
+  const RunResult r = run(model, kc.with_engine(EngineKind::Threaded));
   EXPECT_EQ(r.digests, seq.digests);
 }
 
@@ -77,7 +71,7 @@ TEST(ThreadedStress, RaidLazyCancellationMatchesSequential) {
   kc.num_lps = 2;
   kc.runtime.cancellation = core::CancellationControlConfig::lazy();
   kc.checkpoint.interval = 4;
-  const RunResult r = run(model, kc.with_engine(EngineKind::Threaded), {.threaded = fast_threads()});
+  const RunResult r = run(model, kc.with_engine(EngineKind::Threaded));
   EXPECT_EQ(r.digests, seq.digests);
 }
 
@@ -96,7 +90,7 @@ TEST(ThreadedStress, BoundedOptimismUnderThreads) {
   kc.end_time = end;
   kc.optimism.mode = KernelConfig::Optimism::Mode::Adaptive;
   kc.optimism.window = 200;
-  const RunResult r = run(model, kc.with_engine(EngineKind::Threaded), {.threaded = fast_threads()});
+  const RunResult r = run(model, kc.with_engine(EngineKind::Threaded));
   EXPECT_EQ(r.digests, seq.digests);
 }
 
