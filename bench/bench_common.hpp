@@ -114,6 +114,17 @@ inline std::vector<CancellationVariant> fig7_variants() {
   };
 }
 
+/// Figure-shape gate (EXPERIMENTS.md, "Figure-shape gates"): prints a ratio
+/// of modeled execution times next to its bound and returns whether it
+/// stays below it. The figure benches exit non-zero when any of their
+/// shapes breaks, so a change that bends a paper figure fails CI.
+inline bool shape_below(const std::string& what, double ratio, double bound) {
+  const bool ok = ratio < bound;
+  std::printf("  shape: %s = %.3f (must stay below %.2f): %s\n", what.c_str(),
+              ratio, bound, ok ? "ok" : "BROKEN");
+  return ok;
+}
+
 /// Pretty printing -----------------------------------------------------------
 
 inline void print_banner(const char* figure, const char* description) {

@@ -10,6 +10,9 @@
 //    receivers;
 //  * SAAW is at-or-below FAW across the sweep and flat: it converges to the
 //    optimal window regardless of its initial value.
+//
+// Shape gate: the worst SAAW run must stay below `flatness_bound` times the
+// best FAW run; run_dyma returns false otherwise.
 #pragma once
 
 #include "bench_common.hpp"
@@ -24,8 +27,9 @@ inline const std::vector<double>& aggregate_ages() {
   return ages;
 }
 
-inline void run_dyma(const char* figure, const char* bench_name,
-                     const char* title, const tw::Model& model, tw::LpId lps) {
+inline bool run_dyma(const char* figure, const char* bench_name,
+                     const char* title, const tw::Model& model, tw::LpId lps,
+                     double flatness_bound) {
   print_banner(figure, title);
   BenchReport report(bench_name);
 
@@ -71,9 +75,9 @@ inline void run_dyma(const char* figure, const char* bench_name,
       best_faw, best_faw_age, unagg.execution_time_sec(),
       (unagg.execution_time_sec() - best_faw) / unagg.execution_time_sec() *
           100.0);
-  std::printf("  -> worst SAAW across all initial windows: %.3fs (flatness: "
-              "max/best-FAW = %.2f)\n",
-              worst_saaw, worst_saaw / best_faw);
+  std::printf("  -> worst SAAW across all initial windows: %.3fs\n", worst_saaw);
+  return shape_below("flatness, worst SAAW/best FAW", worst_saaw / best_faw,
+                     flatness_bound);
 }
 
 }  // namespace otw::bench

@@ -11,6 +11,9 @@
 // performance by up to ~30% in the best case; the gain is larger for RAID,
 // whose fork controllers carry large (kilobyte) states that are expensive to
 // save every event.
+//
+// Shape gate: on both models dynamic check-pointing must beat periodic
+// check-pointing under the same (lazy) cancellation; exits 1 otherwise.
 #include "bench_common.hpp"
 
 #include "otw/apps/raid.hpp"
@@ -34,11 +37,14 @@ std::vector<Config> configs() {
   };
 }
 
-void run_model(bench::BenchReport& report, const char* name,
-               const tw::Model& model, tw::LpId lps) {
+/// Returns whether the model keeps the figure's shape.
+bool run_model(bench::BenchReport& report, const char* model_name,
+               const char* name, const tw::Model& model, tw::LpId lps) {
   std::printf("\n%s:\n", name);
   bench::print_run_header();
   double baseline = 0.0;
+  double periodic_lc = 0.0;
+  double dynamic_lc = 0.0;
   for (const Config& c : configs()) {
     tw::KernelConfig kc = bench::base_kernel(lps);
     kc.checkpoint.interval = 1;  // the classic save-every-event default
@@ -48,6 +54,11 @@ void run_model(bench::BenchReport& report, const char* name,
     const double throughput = r.committed_events_per_sec();
     if (baseline == 0.0) {
       baseline = throughput;
+    }
+    if (c.dynamic_checkpointing) {
+      dynamic_lc = r.execution_time_sec();
+    } else if (c.cancellation.policy == core::CancellationPolicy::StaticLazy) {
+      periodic_lc = r.execution_time_sec();
     }
     std::printf("  normalized performance: %.3f", throughput / baseline);
     if (c.dynamic_checkpointing) {
@@ -62,6 +73,8 @@ void run_model(bench::BenchReport& report, const char* name,
     }
     std::printf("\n");
   }
+  return bench::shape_below(std::string(model_name) + " dynamic/periodic (LC)",
+                            dynamic_lc / periodic_lc, 1.0);
 }
 
 }  // namespace
@@ -73,14 +86,14 @@ int main() {
 
   apps::smmp::SmmpConfig smmp;  // paper defaults
   smmp.requests_per_processor = 500;
-  run_model(report, "SMMP (16 processors, 4 LPs, 100 objects)",
-            apps::smmp::build_model(smmp), smmp.num_lps);
+  bool shape_ok = run_model(report, "SMMP", "SMMP (16 processors, 4 LPs, 100 objects)",
+                            apps::smmp::build_model(smmp), smmp.num_lps);
 
   apps::raid::RaidConfig raid;  // paper defaults
   raid.requests_per_source = 500;
-  run_model(report, "RAID (20 sources, 4 forks, 8 disks, 4 LPs)",
-            apps::raid::build_model(raid), raid.num_lps);
+  shape_ok &= run_model(report, "RAID", "RAID (20 sources, 4 forks, 8 disks, 4 LPs)",
+                        apps::raid::build_model(raid), raid.num_lps);
 
   std::printf("\npaper: dynamic check-pointing improved performance by up to ~30%%\n");
-  return 0;
+  return shape_ok ? 0 : 1;
 }

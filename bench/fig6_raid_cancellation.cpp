@@ -8,6 +8,11 @@
 //  * LC beats AC (there are more disks than forks);
 //  * DC/ST edge out LC by ~1.5%, PS/PA by ~2.5% (no monitoring cost for the
 //    objects frozen at aggressive).
+//
+// Shape gate: at every request count DC must beat the best static policy
+// (min of AC and LC); exits 1 otherwise.
+#include <algorithm>
+
 #include "bench_common.hpp"
 
 #include "otw/apps/raid.hpp"
@@ -20,6 +25,7 @@ int main() {
   bench::print_run_header();
   bench::BenchReport report("fig6_raid_cancellation");
 
+  bool shape_ok = true;
   for (std::uint32_t requests : {250u, 500u, 750u, 1'000u}) {
     apps::raid::RaidConfig app;  // paper defaults: 20/4/8, 4 LPs
     app.requests_per_source = requests;
@@ -34,9 +40,13 @@ int main() {
       if (variant.label == "LC") lc_time = r.execution_time_sec();
       if (variant.label == "DC") dc_time = r.execution_time_sec();
     }
-    std::printf("  -> LC vs AC: %+.1f%%; DC vs LC: %+.1f%% (paper: DC ~1.5%% faster)\n\n",
+    std::printf("  -> LC vs AC: %+.1f%%; DC vs LC: %+.1f%% (paper: DC ~1.5%% faster)\n",
                 (ac_time - lc_time) / ac_time * 100.0,
                 (lc_time - dc_time) / lc_time * 100.0);
+    shape_ok &= bench::shape_below(
+        "DC/best-static at " + std::to_string(requests) + " requests",
+        dc_time / std::min(ac_time, lc_time), 1.0);
+    std::printf("\n");
   }
-  return 0;
+  return shape_ok ? 0 : 1;
 }

@@ -1,11 +1,9 @@
 // Latency attribution histograms (otw::obs::hist): fixed-size, lock-free
 // log2-bucket histograms that hot paths record into while a run is in
-// flight. The bucket layout mirrors util::Log2Histogram (bucket 0 holds
-// value 0, bucket i counts values in [2^(i-1), 2^i)) so wire-decoded
-// snapshots interoperate with the existing offline statistics, but the
-// cells here are relaxed atomics: a record() is two relaxed fetch_adds
-// plus a sum accumulate, safe from any thread, and a scrape thread can
-// snapshot concurrently without a lock.
+// flight. Bucket 0 holds value 0 and bucket i counts values in
+// [2^(i-1), 2^i). The cells are relaxed atomics: a record() is two relaxed
+// fetch_adds plus a sum accumulate, safe from any thread, and a scrape
+// thread can snapshot concurrently without a lock.
 //
 // Digest neutrality follows the same argument as obs::live: recording
 // never allocates, never takes a lock and never feeds back into kernel
@@ -93,8 +91,8 @@ struct Snapshot {
   [[nodiscard]] bool empty() const noexcept { return count == 0; }
   void add(std::uint64_t value) noexcept;
   void merge(const Snapshot& other) noexcept;
-  /// Smallest bucket upper bound v such that >= q of the mass is <= v
-  /// (same contract as util::Log2Histogram::quantile_upper_bound).
+  /// Smallest bucket upper bound v such that >= q (in [0,1]) of the mass
+  /// is <= v.
   [[nodiscard]] std::uint64_t quantile_upper_bound(double q) const noexcept;
 };
 

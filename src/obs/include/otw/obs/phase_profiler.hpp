@@ -4,8 +4,10 @@
 // processing, state saving, rollback, coast-forward, GVT, communication /
 // aggregation, idle polling, and controller invocations. Timestamps come
 // from the platform clock, so totals are *modeled* nanoseconds on the
-// SimulatedNow engine and *wall* nanoseconds on the ThreadedEngine — the
-// same clock the paper's execution times are quoted in.
+// SimulatedNow engine and *wall* nanoseconds on the real-clock engines — the
+// same clock the paper's execution times are quoted in. Idle and Control
+// only receive priced work (SimulatedNow's cost model), so they stay zero
+// on the real-clock engines.
 //
 // Scopes nest (a rollback contains a state restore and a coast-forward, a
 // coast-forward re-executes events): begin/end attribute *self* time to each

@@ -17,7 +17,6 @@
 #include <stdexcept>
 #include <string>
 
-#include "otw/platform/cost_model.hpp"
 #include "otw/platform/snapshot_file.hpp"
 #include "otw/platform/wire.hpp"
 #include "otw/util/assert.hpp"
@@ -418,11 +417,6 @@ class ShardDriver::Context final : public LpContext {
 
   void request_wakeup(std::uint64_t abs_ns) noexcept override {
     lp_.wake_hint_ns = std::min(lp_.wake_hint_ns, abs_ns);
-  }
-
-  [[nodiscard]] const CostModel& costs() const noexcept override {
-    static const CostModel kFree = CostModel::free();
-    return kFree;
   }
 
  private:

@@ -3,14 +3,15 @@
 // A logical process (LP) of the Time Warp kernel is written as a
 // *step-based, non-blocking* state machine (LpRunner). An Engine owns the
 // LPs, drives their step() functions, transports messages between them and
-// supplies each LP with a wall clock. Two engines are provided:
+// supplies each LP with a clock. Three engines are provided:
 //
 //   SimulatedNowEngine - deterministic direct-execution simulation of a
 //       network of workstations: each LP has a modeled clock advanced by
 //       LpContext::charge(); the engine always steps the LP with the
-//       smallest modeled clock, and message arrival times follow the
-//       CostModel. Reported execution time = makespan of the modeled
-//       machine. This is the substrate for all paper figures.
+//       smallest modeled clock, and message arrival times follow its cost
+//       model. Reported execution time = makespan of the modeled machine.
+//       This is the substrate for all paper figures, and the only engine
+//       on which modeled cost means anything.
 //
 //   ThreadedEngine - an M-worker : N-LP work-stealing scheduler on real
 //       threads and wall clocks: per-worker run queues with lock-free
@@ -19,7 +20,10 @@
 //       under true concurrency and scales to LP counts far beyond the OS
 //       thread limit.
 //
-// Both transports are non-overtaking per (source, destination) pair, which
+//   DistributedEngine - LPs sharded over fork()ed worker processes joined
+//       by a TCP peer mesh, on real wall clocks (distributed.hpp).
+//
+// Every transport is non-overtaking per (source, destination) pair, which
 // the kernel relies on (an anti-message never arrives before the positive
 // message it cancels).
 #pragma once
@@ -45,7 +49,7 @@ class WireWriter;
 class EngineMessage {
  public:
   virtual ~EngineMessage() = default;
-  /// Payload bytes charged by the cost model for this message.
+  /// Payload bytes of this message (SimulatedNow prices them).
   [[nodiscard]] virtual std::uint64_t wire_bytes() const noexcept = 0;
   /// Registered type tag (wire.hpp), or kNoWireTag (0) for messages that
   /// cannot leave the process. Cross-process transports refuse untagged
@@ -86,16 +90,16 @@ class LpContext {
 
   /// Accounts `ns` nanoseconds of CPU work to this LP. On the simulated
   /// engine this advances the modeled clock; on the threaded engine it is
-  /// a calibrated spin (or a no-op when cost charging is disabled); on the
-  /// distributed engine it is always a no-op.
+  /// a busy spin when ThreadedConfig::spin_on_charge is set and a no-op
+  /// otherwise; on the distributed engine it is always a no-op.
   virtual void charge(std::uint64_t ns) noexcept = 0;
 
-  /// Ships a message to `dst` (self-sends are allowed). Sender-side send
-  /// cost is charged automatically per the cost model.
+  /// Ships a message to `dst` (self-sends are allowed). The simulated
+  /// engine charges the sender-side send cost itself.
   virtual void send(LpId dst, std::unique_ptr<EngineMessage> msg) = 0;
 
-  /// Retrieves the next deliverable message, or nullptr. Receiver-side
-  /// receive cost is charged automatically per the cost model.
+  /// Retrieves the next deliverable message, or nullptr. The simulated
+  /// engine charges the receiver-side receive cost itself.
   virtual std::unique_ptr<EngineMessage> poll() = 0;
 
   /// Asks to be stepped again no later than `abs_ns` even if Idle is
@@ -112,9 +116,6 @@ class LpContext {
   /// — an LP may ignore it; honoring it improves fairness when workers are
   /// outnumbered by LPs.
   [[nodiscard]] virtual bool should_yield() const noexcept { return false; }
-
-  /// The platform's cost model (for kernel-level cost charging).
-  [[nodiscard]] virtual const struct CostModel& costs() const noexcept = 0;
 };
 
 /// A logical process as seen by the engine.
@@ -221,9 +222,6 @@ struct EngineRunResult {
   /// Modeled makespan (simulated engine) or elapsed wall time (threaded),
   /// in nanoseconds.
   std::uint64_t execution_time_ns = 0;
-  /// Per-LP busy time in nanoseconds (charged work). Empty on the
-  /// distributed engine, where charge() is a no-op.
-  std::vector<std::uint64_t> lp_busy_ns;
   /// Total physical messages transported between LPs.
   std::uint64_t physical_messages = 0;
   /// Total wire bytes transported between LPs.

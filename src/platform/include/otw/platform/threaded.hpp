@@ -6,9 +6,10 @@
 // Idle is parked and re-enqueued only when a message arrives or a
 // request_wakeup deadline fires from the timer wheel (timer_wheel.hpp);
 // workers with no runnable LP park on an event-driven parking lot — there is
-// no idle polling anywhere. charge() optionally spins to model work
-// granularity. The simulated-NOW engine remains the measurement substrate;
-// this engine validates the kernel under genuine preemption and scales to
+// no idle polling anywhere. Nothing is priced here: charge() is a no-op
+// unless spin_on_charge turns a model's charged event grain into real CPU
+// time. The simulated-NOW engine remains the measurement substrate; this
+// engine validates the kernel under genuine preemption and scales to
 // thousands of LPs on a handful of cores.
 #pragma once
 
@@ -16,18 +17,14 @@
 #include <vector>
 
 #include "otw/obs/live.hpp"
-#include "otw/platform/cost_model.hpp"
 #include "otw/platform/engine.hpp"
 
 namespace otw::platform {
 
 struct ThreadedConfig {
-  CostModel costs;
-  /// When true, charge(ns) busy-spins for ns of wall time (scaled by
-  /// spin_scale); when false it only accumulates accounting.
+  /// When true, charge(ns) busy-spins for ns of wall time; when false it is
+  /// a no-op.
   bool spin_on_charge = false;
-  /// Wall-nanoseconds actually spun per charged nanosecond.
-  double spin_scale = 1.0;
   /// Worker threads; 0 = min(hardware concurrency, number of LPs).
   std::uint32_t num_workers = 0;
   /// Per-LP mailbox ring slots (rounded up to a power of two). Overflowing

@@ -15,7 +15,6 @@ constexpr std::uint64_t kNever = std::numeric_limits<std::uint64_t>::max();
 
 struct SimulatedNowEngine::LpState {
   std::uint64_t clock_ns = 0;
-  std::uint64_t busy_ns = 0;
   StepStatus status = StepStatus::Active;
   std::uint64_t wake_hint_ns = kNever;  ///< request_wakeup from the last step
   std::priority_queue<InFlight, std::vector<InFlight>, InFlightLater> inbox;
@@ -61,10 +60,7 @@ class SimulatedNowEngine::Context final : public LpContext {
     return lps_[self_].clock_ns;
   }
 
-  void charge(std::uint64_t ns) noexcept override {
-    lps_[self_].clock_ns += ns;
-    lps_[self_].busy_ns += ns;
-  }
+  void charge(std::uint64_t ns) noexcept override { lps_[self_].clock_ns += ns; }
 
   void send(LpId dst, std::unique_ptr<EngineMessage> msg) override {
     OTW_REQUIRE(dst < num_lps_);
@@ -96,8 +92,6 @@ class SimulatedNowEngine::Context final : public LpContext {
     lps_[self_].wake_hint_ns = std::min(lps_[self_].wake_hint_ns, abs_ns);
   }
 
-  [[nodiscard]] const CostModel& costs() const noexcept override { return costs_; }
-
  private:
   LpId self_;
   LpId num_lps_;
@@ -116,7 +110,6 @@ EngineRunResult SimulatedNowEngine::run(const std::vector<LpRunner*>& lps) {
   const auto n = static_cast<LpId>(lps.size());
   std::vector<LpState> states(n);
   EngineRunResult result;
-  result.lp_busy_ns.assign(n, 0);
   std::uint64_t send_sequence = 0;
 
   std::uint64_t remaining = n;
@@ -156,9 +149,8 @@ EngineRunResult SimulatedNowEngine::run(const std::vector<LpRunner*>& lps) {
     }
   }
 
-  for (LpId i = 0; i < n; ++i) {
-    result.execution_time_ns = std::max(result.execution_time_ns, states[i].clock_ns);
-    result.lp_busy_ns[i] = states[i].busy_ns;
+  for (const LpState& state : states) {
+    result.execution_time_ns = std::max(result.execution_time_ns, state.clock_ns);
   }
   return result;
 }

@@ -5,7 +5,7 @@
 //     RunningNotified or Done (one atomic word). An LP is in at most ONE run
 //     queue (only the *->Scheduled transition enqueues) and is stepped by at
 //     most one worker (only the Scheduled->Running CAS claims it), so all
-//     LP-affine data (kernel state, mailbox consumer cursor, busy counter)
+//     LP-affine data (kernel state, mailbox consumer cursor, wakeup hint)
 //     is handed between workers through these acquire/release transitions.
 //   * Message flow — send() pushes into the destination's MPSC mailbox and
 //     then notifies: Idle LPs become Scheduled (and enqueued), Running LPs
@@ -63,7 +63,6 @@ struct LpSlot {
   MpscMailbox<std::unique_ptr<EngineMessage>> mailbox;
   // Accessed only by the worker currently running this LP; handed off
   // through the state transitions.
-  std::uint64_t busy_ns = 0;
   std::uint64_t wake_hint_ns = TimerWheel::kNever;
 };
 
@@ -334,13 +333,11 @@ class Scheduler {
   EngineRunResult collect() {
     EngineRunResult result;
     result.execution_time_ns = now_ns();
-    result.lp_busy_ns.reserve(n_);
     result.scheduler.num_workers = num_workers_;
     result.scheduler.timers_scheduled =
         timers_scheduled_.load(std::memory_order_relaxed);
-    for (std::uint32_t i = 0; i < n_; ++i) {
-      result.lp_busy_ns.push_back(slots_[i].busy_ns);
-      result.scheduler.mailbox_overflows += slots_[i].mailbox.overflow_pushes();
+    for (const LpSlot& slot : slots_) {
+      result.scheduler.mailbox_overflows += slot.mailbox.overflow_pushes();
     }
     for (std::uint32_t w = 0; w < num_workers_; ++w) {
       const WorkerData& wd = workers_[w];
@@ -408,15 +405,10 @@ class ThreadContext final : public LpContext {
   }
 
   void charge(std::uint64_t ns) noexcept override {
-    sched_.slot(lp_).busy_ns += ns;
-    const ThreadedConfig& config = sched_.config();
-    if (config.spin_on_charge && ns > 0) {
-      const auto target =
-          SteadyClock::now() +
-          std::chrono::nanoseconds(static_cast<std::uint64_t>(
-              static_cast<double>(ns) * config.spin_scale));
+    if (sched_.config().spin_on_charge && ns > 0) {
+      const auto target = SteadyClock::now() + std::chrono::nanoseconds(ns);
       while (SteadyClock::now() < target) {
-        // busy wait: models the CPU cost of the charged work
+        // busy wait: burns the charged work as real CPU time
       }
     }
   }
@@ -425,7 +417,6 @@ class ThreadContext final : public LpContext {
     OTW_REQUIRE(dst < sched_.num_lps());
     OTW_REQUIRE(msg != nullptr);
     const std::uint64_t bytes = msg->wire_bytes();
-    charge(sched_.config().costs.send_cost_ns(bytes));
     if (auto* live = sched_.config().live) {
       if (live->hists() != nullptr) {
         msg->obs_enqueue_ns = sched_.now_ns();
@@ -455,7 +446,6 @@ class ThreadContext final : public LpContext {
                      now > queued ? now - queued : 0);
       }
     }
-    charge(sched_.config().costs.msg_recv_overhead_ns);
     return std::move(*msg);
   }
 
@@ -470,10 +460,6 @@ class ThreadContext final : public LpContext {
     }
     yielded_ = true;
     return true;
-  }
-
-  [[nodiscard]] const CostModel& costs() const noexcept override {
-    return sched_.config().costs;
   }
 
  private:

@@ -2,8 +2,7 @@
 // runners to platform::DistributedEngine, and (de)serializes per-shard
 // results. The harvest half runs in the worker process after its LPs are
 // Done; the merge half runs in the coordinator. Fork guarantees both halves
-// share one ABI, so trivially-copyable stats ship as raw bytes and only the
-// types holding heap state (ObjectStats' histogram) are encoded field-wise.
+// share one ABI, so the trivially-copyable stats ship as raw bytes.
 #include <atomic>
 #include <chrono>
 #include <cstring>
@@ -27,6 +26,7 @@ using platform::WireReader;
 using platform::WireWriter;
 
 static_assert(std::is_trivially_copyable_v<LpStats>);
+static_assert(std::is_trivially_copyable_v<ObjectStats>);
 static_assert(std::is_trivially_copyable_v<obs::PhaseTotals>);
 static_assert(std::is_trivially_copyable_v<LpSample>);
 static_assert(std::is_trivially_copyable_v<ObjectSample>);
@@ -66,7 +66,7 @@ void encode_shard(WireWriter& w, const Assembly& assembly, std::uint32_t shard,
     for (const auto& runtime : proc.runtimes()) {
       w.u32(runtime->self());
       w.u64(runtime->state_digest());
-      encode_object_stats(w, runtime->snapshot_stats());
+      write_pod(w, runtime->snapshot_stats());
       write_pod_vector(w, runtime->trace());
     }
   }
@@ -109,7 +109,7 @@ void decode_shard(WireReader& r, std::vector<std::optional<HarvestedLp>>& lps,
       OTW_REQUIRE_MSG(id < result.digests.size(),
                       "shard result names an unknown object");
       result.digests[id] = r.u64();
-      result.stats.objects[id] = decode_object_stats(r);
+      result.stats.objects[id] = read_pod<ObjectStats>(r);
       result.telemetry.objects[id] =
           ObjectTrace{id, read_pod_vector<ObjectSample>(r)};
     }

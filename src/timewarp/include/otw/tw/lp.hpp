@@ -214,8 +214,9 @@ struct KernelConfig {
     return copy;
   }
 
-  /// Hard cap on Engine::num_shards — one process per shard; beyond this the
-  /// coordinator's relay loop is the bottleneck, not the kernel.
+  /// Hard cap on Engine::num_shards: one worker process per shard, joined
+  /// by a full peer mesh, so the socket count grows with the square of the
+  /// shard count.
   static constexpr std::uint32_t kMaxShards = 64;
 
   /// Checks the whole configuration for contradictions a constructor cannot
@@ -232,10 +233,14 @@ class LogicalProcess final : public platform::LpRunner,
  public:
   /// @param object_to_lp global ObjectId -> LpId map (shared by all LPs)
   /// @param objects      (global id, object) pairs owned by this LP
+  /// @param costs        SimulatedNow's cost model, which prices the
+  ///                     kernel's own work; null on every other engine
+  ///                     (nothing is priced). Must outlive the LP.
   LogicalProcess(LpId id, const KernelConfig& config,
                  std::vector<LpId> object_to_lp,
                  std::vector<std::pair<ObjectId, std::unique_ptr<SimulationObject>>>
-                     objects);
+                     objects,
+                 const platform::CostModel* costs = nullptr);
 
   // --- platform::LpRunner ---
   platform::StepStatus step(platform::LpContext& ctx) override;
@@ -286,7 +291,6 @@ class LogicalProcess final : public platform::LpRunner,
   void note_rollback(std::size_t undone) noexcept override;
   [[nodiscard]] std::uint64_t wall_now_ns() const noexcept override;
   void wall_charge(std::uint64_t ns) noexcept override;
-  [[nodiscard]] const platform::CostModel& costs() const noexcept override;
   [[nodiscard]] VirtualTime end_time() const noexcept override {
     return config_.end_time;
   }
@@ -360,9 +364,14 @@ class LogicalProcess final : public platform::LpRunner,
   /// Copies this LP's running totals into its live-registry cell (relaxed
   /// stores of absolute totals; see obs/live.hpp for the ordering argument).
   void publish_live() noexcept;
+  /// Prices one piece of LP-level work: charges the cost model's `cost` to
+  /// the clock and books it to `phase`. A no-op without a cost model.
+  /// ctx_ must be valid.
+  void price(obs::Phase phase, std::uint64_t platform::CostModel::*cost);
 
   LpId id_;
   KernelConfig config_;
+  const platform::CostModel* costs_;  ///< null: nothing is priced
   obs::Recorder recorder_;
   std::vector<LpId> object_to_lp_;
   /// Input-queue node pool; declared before runtimes_ (their queues release

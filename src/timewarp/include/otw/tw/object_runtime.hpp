@@ -34,11 +34,10 @@ class LpServices {
   /// aggregation layer for remote ones.
   virtual void route(Event&& event) = 0;
 
-  /// Platform wall clock / work accounting (modeled or real nanoseconds).
+  /// Platform clock / work accounting (modeled or real nanoseconds).
   [[nodiscard]] virtual std::uint64_t wall_now_ns() const noexcept = 0;
   virtual void wall_charge(std::uint64_t ns) noexcept = 0;
 
-  [[nodiscard]] virtual const platform::CostModel& costs() const noexcept = 0;
   [[nodiscard]] virtual VirtualTime end_time() const noexcept = 0;
 
   /// Notification that a rollback undid `undone` processed events (feeds the
@@ -85,8 +84,13 @@ struct ObjectRuntimeConfig {
 
 class ObjectRuntime final : public ObjectContext {
  public:
+  /// `costs` prices the kernel's own work (event overhead, saves, rollbacks,
+  /// comparisons, control invocations) on the LP's clock. Only SimulatedNow
+  /// models time, so every other engine passes null and nothing is priced.
+  /// A non-null model must outlive the runtime.
   ObjectRuntime(ObjectId id, std::unique_ptr<SimulationObject> object,
-                LpServices& lp, const ObjectRuntimeConfig& config);
+                LpServices& lp, const ObjectRuntimeConfig& config,
+                const platform::CostModel* costs = nullptr);
 
   /// Creates the initial state, lets the object schedule its first events
   /// and records the time-zero checkpoint.
@@ -215,6 +219,7 @@ class ObjectRuntime final : public ObjectContext {
   LpServices& lp_;
   obs::Recorder& rec_;
   ObjectRuntimeConfig config_;
+  const platform::CostModel* costs_;  ///< null: nothing is priced
 
   /// Checkpoint recycler; declared before every member that releases into it.
   StateArena arena_;

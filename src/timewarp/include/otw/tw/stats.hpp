@@ -59,7 +59,6 @@ struct ObjectStats {
   std::uint32_t final_checkpoint_interval = 1;
   core::CancellationMode final_mode = core::CancellationMode::Aggressive;
   double final_hit_ratio = 0.0;
-  util::Log2Histogram rollback_length;
 
   void merge(const ObjectStats& other);
 };

@@ -25,9 +25,10 @@ std::uint64_t elapsed_ns(WallClock::time_point start) {
 RunResult run_simulated_now_impl(const Model& model, const KernelConfig& config,
                                  const platform::SimulatedNowConfig& now_config) {
   const auto start = WallClock::now();
-  detail::Assembly assembly = detail::assemble(model, config);
-  auto live_server = detail::start_live_server(config, assembly);
   platform::SimulatedNowEngine engine(now_config);
+  detail::Assembly assembly =
+      detail::assemble(model, config, &engine.config().costs);
+  auto live_server = detail::start_live_server(config, assembly);
   const platform::EngineRunResult engine_result = engine.run(assembly.runners);
   RunResult result =
       detail::collect(model, assembly, engine_result, elapsed_ns(start));
@@ -77,7 +78,8 @@ RunResult run_sequential_impl(const Model& model, const KernelConfig& config) {
 
 namespace detail {
 
-Assembly assemble(const Model& model, const KernelConfig& config) {
+Assembly assemble(const Model& model, const KernelConfig& config,
+                  const platform::CostModel* costs) {
   OTW_REQUIRE_MSG(!model.objects.empty(), "model has no objects");
   OTW_REQUIRE_MSG(config.num_lps >= model.required_lps(),
                   "config.num_lps is smaller than the model's LP placement");
@@ -98,7 +100,7 @@ Assembly assemble(const Model& model, const KernelConfig& config) {
       }
     }
     assembly.lps.push_back(std::make_unique<LogicalProcess>(
-        lp, config, object_to_lp, std::move(local)));
+        lp, config, object_to_lp, std::move(local), costs));
   }
   // One shared recycler for batch buffers: the receiving LP's message
   // destructor returns the vector the sending LP allocated. Each LP keeps a

@@ -21,7 +21,10 @@ struct Assembly {
   std::shared_ptr<obs::live::LiveMetricsRegistry> live;
 };
 
-Assembly assemble(const Model& model, const KernelConfig& config);
+/// `costs` is SimulatedNow's cost model, handed to every LP so the kernel
+/// prices its own work; null on the real-clock engines.
+Assembly assemble(const Model& model, const KernelConfig& config,
+                  const platform::CostModel* costs = nullptr);
 
 /// Starts the scrape endpoint over the assembly's registry (single-shard
 /// view). Null when the live plane is disabled or compiled out.

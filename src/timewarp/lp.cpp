@@ -10,9 +10,11 @@ namespace otw::tw {
 
 LogicalProcess::LogicalProcess(
     LpId id, const KernelConfig& config, std::vector<LpId> object_to_lp,
-    std::vector<std::pair<ObjectId, std::unique_ptr<SimulationObject>>> objects)
+    std::vector<std::pair<ObjectId, std::unique_ptr<SimulationObject>>> objects,
+    const platform::CostModel* costs)
     : id_(id),
       config_(config),
+      costs_(costs),
       object_to_lp_(std::move(object_to_lp)),
       local_index_(object_to_lp_.size(), SIZE_MAX),
       channel_(id, config.num_lps, config.aggregation),
@@ -50,7 +52,7 @@ LogicalProcess::LogicalProcess(
     runtime_config.passive_compare_cap = config_.runtime.passive_compare_cap;
     runtime_config.telemetry = config_.telemetry;
     runtimes_.push_back(std::make_unique<ObjectRuntime>(
-        object_id, std::move(object), *this, runtime_config));
+        object_id, std::move(object), *this, runtime_config, costs_));
   }
 }
 
@@ -64,9 +66,12 @@ void LogicalProcess::wall_charge(std::uint64_t ns) noexcept {
   ctx_->charge(ns);
 }
 
-const platform::CostModel& LogicalProcess::costs() const noexcept {
-  OTW_ASSERT(ctx_ != nullptr);
-  return ctx_->costs();
+void LogicalProcess::price(obs::Phase phase,
+                           std::uint64_t platform::CostModel::*cost) {
+  if (costs_ != nullptr) {
+    ctx_->charge(costs_->*cost);
+    recorder_.phase_add(phase, costs_->*cost);
+  }
 }
 
 void LogicalProcess::note_rollback(std::size_t undone) noexcept {
@@ -275,8 +280,7 @@ void LogicalProcess::sample_pressure() {
 
   const core::PressureState before = pressure_->state();
   const bool changed = pressure_->update(footprint.total());
-  ctx_->charge(ctx_->costs().control_invocation_ns);
-  recorder_.phase_add(obs::Phase::Control, ctx_->costs().control_invocation_ns);
+  price(obs::Phase::Control, &platform::CostModel::control_invocation_ns);
   const core::PressureState after = pressure_->state();
 
   if (changed && before == core::PressureState::Normal) {
@@ -546,8 +550,7 @@ platform::StepStatus LogicalProcess::step(platform::LpContext& ctx) {
     optimism_->record_rolled_back(optimism_rolled_back_);
     optimism_rolled_back_ = 0;
     if (optimism_->maybe_adapt()) {
-      ctx.charge(ctx.costs().control_invocation_ns);
-      recorder_.phase_add(obs::Phase::Control, ctx.costs().control_invocation_ns);
+      price(obs::Phase::Control, &platform::CostModel::control_invocation_ns);
       if (recorder_.tracing()) {
         recorder_.record(obs::TraceKind::OptimismDecision, ctx.now_ns(), id_,
                          gvt_value_.ticks(),
@@ -630,13 +633,11 @@ platform::StepStatus LogicalProcess::step(platform::LpContext& ctx) {
 
   if (idle_now) {
     ++stats_.idle_polls;
-    ctx.charge(ctx.costs().idle_poll_ns);
-    recorder_.phase_add(obs::Phase::Idle, ctx.costs().idle_poll_ns);
+    price(obs::Phase::Idle, &platform::CostModel::idle_poll_ns);
     return platform::StepStatus::Idle;
   }
   if (processed == 0) {
-    ctx.charge(ctx.costs().idle_poll_ns);
-    recorder_.phase_add(obs::Phase::Idle, ctx.costs().idle_poll_ns);
+    price(obs::Phase::Idle, &platform::CostModel::idle_poll_ns);
     if (!received && channel_.has_pending()) {
       // Nothing to do until an aggregate window expires (or a message
       // lands): tell the engine when to come back instead of busy-polling.

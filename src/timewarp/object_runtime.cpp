@@ -9,12 +9,14 @@
 namespace otw::tw {
 
 ObjectRuntime::ObjectRuntime(ObjectId id, std::unique_ptr<SimulationObject> object,
-                             LpServices& lp, const ObjectRuntimeConfig& config)
+                             LpServices& lp, const ObjectRuntimeConfig& config,
+                             const platform::CostModel* costs)
     : id_(id),
       object_(std::move(object)),
       lp_(lp),
       rec_(lp.recorder()),
       config_(config),
+      costs_(costs),
       input_(lp.event_pool(), lp.queue_kind()),
       states_(make_checkpoint_store(config.state_saving,
                                     config.full_snapshot_interval, &arena_)),
@@ -50,9 +52,11 @@ bool ObjectRuntime::process_next() {
   input_.advance();
   maybe_checkpoint(pos);
   if (config_.dynamic_checkpointing && ckpt_.on_event_processed()) {
-    lp_.wall_charge(lp_.costs().control_invocation_ns);
     ++stats_.checkpoint_control_ticks;
-    rec_.phase_add(obs::Phase::Control, lp_.costs().control_invocation_ns);
+    if (costs_ != nullptr) {
+      lp_.wall_charge(costs_->control_invocation_ns);
+      rec_.phase_add(obs::Phase::Control, costs_->control_invocation_ns);
+    }
     if (rec_.tracing()) {
       rec_.record(obs::TraceKind::CheckpointDecision, lp_.wall_now_ns(), id_,
                   lvt_.ticks(),
@@ -95,7 +99,9 @@ void ObjectRuntime::execute(const Event& event) {
                   event.recv_time.ticks());
     }
   }
-  lp_.wall_charge(lp_.costs().event_overhead_ns);
+  if (costs_ != nullptr) {
+    lp_.wall_charge(costs_->event_overhead_ns);
+  }
   object_->process_event(*this, event);
   processing_ = false;
   ++stats_.events_processed;
@@ -132,7 +138,9 @@ void ObjectRuntime::emit(Event&& event) {
   // message (same receiver, receive time, seq and payload)? Then that
   // message stands; nothing is transmitted.
   if (!lazy_pending_.empty()) {
-    lp_.wall_charge(lp_.costs().comparison_cost_ns);
+    if (costs_ != nullptr) {
+      lp_.wall_charge(costs_->comparison_cost_ns);
+    }
     const auto match = std::find_if(
         lazy_pending_.begin(), lazy_pending_.end(), [&](const OutputEntry& entry) {
           return entry.event.seq == event.seq && entry.event.same_content(event);
@@ -153,7 +161,9 @@ void ObjectRuntime::emit(Event&& event) {
   // only feeds the Hit Ratio. Skipped entirely once the controller froze
   // (that skip is the PS/PA variants' performance edge).
   if (!passive_.empty() && cancel_.monitoring()) {
-    lp_.wall_charge(lp_.costs().comparison_cost_ns);
+    if (costs_ != nullptr) {
+      lp_.wall_charge(costs_->comparison_cost_ns);
+    }
     const auto match = std::find_if(
         passive_.begin(), passive_.end(), [&](const OutputEntry& entry) {
           return entry.event.seq == event.seq &&
@@ -252,7 +262,6 @@ void ObjectRuntime::rollback(const Position& target, const Event& cause,
   ++stats_.rollbacks;
   const std::size_t undone = input_.processed_after(target);
   stats_.events_rolled_back += undone;
-  stats_.rollback_length.add(undone);
   lp_.note_rollback(undone);
   if (rec_.profiling()) {
     rec_.phase_begin(obs::Phase::Rollback, lp_.wall_now_ns());
@@ -273,7 +282,9 @@ void ObjectRuntime::rollback(const Position& target, const Event& cause,
   input_.rewind_to_after(keeper.pos);
   events_since_save_ = 0;
   ++stats_.state_restores;
-  lp_.wall_charge(lp_.costs().rollback_fixed_ns + lp_.costs().state_restore_ns);
+  if (costs_ != nullptr) {
+    lp_.wall_charge(costs_->rollback_fixed_ns + costs_->state_restore_ns);
+  }
   if (rec_.tracing()) {
     rec_.record(obs::TraceKind::StateRestore, lp_.wall_now_ns(), id_,
                 keeper.pos.recv_time().ticks());
@@ -481,7 +492,7 @@ void ObjectRuntime::encode_frozen(platform::WireWriter& w) {
   // runtime byte-identical to one that never snapshotted.
   ObjectStats shipped = snapshot_stats();
   shipped.events_committed += input_.processed_count();
-  detail::encode_object_stats(w, shipped);
+  detail::write_pod(w, shipped);
   detail::write_pod_vector(w, trace_);
   // Remaining output entries have causes below the cut; they can never be
   // cancelled (rollback below GVT is impossible), so the queue is not
@@ -525,7 +536,7 @@ void ObjectRuntime::migrate_in(platform::WireReader& r, VirtualTime gvt) {
                       current_state_->byte_size() == state_len,
                   "LP migration requires a flat object state of fixed size");
   r.bytes(current_state_->mutable_raw_bytes(), state_len);
-  stats_ = detail::decode_object_stats(r);
+  stats_ = detail::read_pod<ObjectStats>(r);
   trace_ = detail::read_pod_vector<ObjectSample>(r);
 
   // Fresh history structures; the shipped totals stay in stats_ and the
@@ -575,25 +586,30 @@ void ObjectRuntime::maybe_checkpoint(const Position& pos) {
 }
 
 void ObjectRuntime::save_state(const Position& pos) {
+  // The checkpoint controller's state-save term is the save's duration on
+  // the platform clock, the clock its coast-forward term uses: the priced
+  // cost on SimulatedNow, the measured time on real clocks.
+  const bool timed = rec_.profiling() || config_.dynamic_checkpointing;
+  const std::uint64_t start_ns = timed ? lp_.wall_now_ns() : 0;
   if (rec_.profiling()) {
-    rec_.phase_begin(obs::Phase::StateSaving, lp_.wall_now_ns());
+    rec_.phase_begin(obs::Phase::StateSaving, start_ns);
   }
   const SaveReceipt receipt = states_->save(pos, *current_state_);
-  const std::uint64_t cost =
-      lp_.costs().state_save_base_ns +
-      lp_.costs().state_diff_scan_per_byte_ns * receipt.scanned_bytes +
-      lp_.costs().state_save_per_byte_ns * receipt.stored_bytes;
-  lp_.wall_charge(cost);
+  if (costs_ != nullptr) {
+    lp_.wall_charge(costs_->state_save_base_ns +
+                    costs_->state_diff_scan_per_byte_ns * receipt.scanned_bytes +
+                    costs_->state_save_per_byte_ns * receipt.stored_bytes);
+  }
   ++stats_.states_saved;
+  if (config_.dynamic_checkpointing) {
+    ckpt_.record_state_save(lp_.wall_now_ns() - start_ns);
+  }
   if (rec_.tracing()) {
     rec_.record(obs::TraceKind::StateSave, lp_.wall_now_ns(), id_,
                 pos.recv_time().ticks(), receipt.stored_bytes);
   }
   if (rec_.profiling()) {
     rec_.phase_end(lp_.wall_now_ns());
-  }
-  if (config_.dynamic_checkpointing) {
-    ckpt_.record_state_save(cost);
   }
 }
 

@@ -55,7 +55,6 @@ void ObjectStats::merge(const ObjectStats& other) {
   passive_misses += other.passive_misses;
   cancellation_switches += other.cancellation_switches;
   checkpoint_control_ticks += other.checkpoint_control_ticks;
-  rollback_length.merge(other.rollback_length);
 }
 
 void LpStats::merge(const LpStats& other) {

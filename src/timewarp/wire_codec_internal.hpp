@@ -1,18 +1,15 @@
-// Shared POD/stats wire codec for the kernel's cross-process payloads: the
-// shard harvest blobs (distributed.cpp) and the MIGRATE frame body
+// Shared POD wire codec for the kernel's cross-process payloads: the shard
+// harvest blobs (distributed.cpp) and the MIGRATE frame body
 // (lp.cpp/object_runtime.cpp) encode with the same helpers, so the two
 // paths cannot drift. Fork guarantees one ABI per run, so trivially
-// copyable types ship as raw bytes; only types holding heap state
-// (ObjectStats' histogram) are encoded field-wise.
+// copyable types (every stats struct included) ship as raw bytes.
 // Include-path private to src/timewarp; not installed.
 #pragma once
 
-#include <bit>
 #include <type_traits>
 #include <vector>
 
 #include "otw/platform/wire.hpp"
-#include "otw/tw/stats.hpp"
 
 namespace otw::tw::detail {
 
@@ -43,63 +40,6 @@ template <typename T>
   std::vector<T> values(r.u32());
   r.bytes(values.data(), values.size() * sizeof(T));
   return values;
-}
-
-inline void encode_object_stats(platform::WireWriter& w, const ObjectStats& s) {
-  w.u64(s.events_processed);
-  w.u64(s.events_committed);
-  w.u64(s.events_rolled_back);
-  w.u64(s.rollbacks);
-  w.u64(s.coast_forward_events);
-  w.u64(s.states_saved);
-  w.u64(s.state_restores);
-  w.u64(s.messages_sent);
-  w.u64(s.anti_messages_sent);
-  w.u64(s.anti_messages_received);
-  w.u64(s.stragglers);
-  w.u64(s.lazy_hits);
-  w.u64(s.lazy_misses);
-  w.u64(s.passive_hits);
-  w.u64(s.passive_misses);
-  w.u64(s.cancellation_switches);
-  w.u64(s.checkpoint_control_ticks);
-  w.u32(s.final_checkpoint_interval);
-  w.u8(static_cast<std::uint8_t>(s.final_mode));
-  w.u64(std::bit_cast<std::uint64_t>(s.final_hit_ratio));
-  w.u32(static_cast<std::uint32_t>(s.rollback_length.num_buckets()));
-  for (std::size_t i = 0; i < s.rollback_length.num_buckets(); ++i) {
-    w.u64(s.rollback_length.bucket(i));
-  }
-}
-
-[[nodiscard]] inline ObjectStats decode_object_stats(platform::WireReader& r) {
-  ObjectStats s;
-  s.events_processed = r.u64();
-  s.events_committed = r.u64();
-  s.events_rolled_back = r.u64();
-  s.rollbacks = r.u64();
-  s.coast_forward_events = r.u64();
-  s.states_saved = r.u64();
-  s.state_restores = r.u64();
-  s.messages_sent = r.u64();
-  s.anti_messages_sent = r.u64();
-  s.anti_messages_received = r.u64();
-  s.stragglers = r.u64();
-  s.lazy_hits = r.u64();
-  s.lazy_misses = r.u64();
-  s.passive_hits = r.u64();
-  s.passive_misses = r.u64();
-  s.cancellation_switches = r.u64();
-  s.checkpoint_control_ticks = r.u64();
-  s.final_checkpoint_interval = r.u32();
-  s.final_mode = static_cast<core::CancellationMode>(r.u8());
-  s.final_hit_ratio = std::bit_cast<double>(r.u64());
-  std::vector<std::uint64_t> buckets(r.u32());
-  for (std::uint64_t& bucket : buckets) {
-    bucket = r.u64();
-  }
-  s.rollback_length = util::Log2Histogram::from_buckets(std::move(buckets));
-  return s;
 }
 
 }  // namespace otw::tw::detail

@@ -1,13 +1,9 @@
-// Statistics accumulators used by the kernel instrumentation and the bench
-// harness: streaming mean/variance (Welford), min/max tracking, and a
-// logarithmically bucketed histogram for long-tailed quantities such as
-// rollback lengths.
+// Statistics accumulator used by the kernel instrumentation and the bench
+// harness: streaming mean/variance (Welford) with min/max tracking.
 #pragma once
 
 #include <cstdint>
 #include <iosfwd>
-#include <string>
-#include <vector>
 
 namespace otw::util {
 
@@ -33,33 +29,6 @@ class RunningStat {
   double sum_ = 0.0;
   double min_ = 0.0;
   double max_ = 0.0;
-};
-
-/// Histogram with power-of-two buckets: bucket i counts values in
-/// [2^(i-1), 2^i) with bucket 0 holding value 0. Suited to rollback lengths,
-/// aggregate sizes, queue depths.
-class Log2Histogram {
- public:
-  void add(std::uint64_t value) noexcept;
-  void merge(const Log2Histogram& other);
-
-  /// Rebuilds a histogram from raw bucket counts (bucket i as produced by
-  /// bucket(i)) — the wire-deserialization inverse of reading the buckets.
-  static Log2Histogram from_buckets(std::vector<std::uint64_t> buckets);
-
-  [[nodiscard]] std::uint64_t count() const noexcept { return total_; }
-  [[nodiscard]] std::uint64_t bucket(std::size_t i) const noexcept {
-    return i < buckets_.size() ? buckets_[i] : 0;
-  }
-  [[nodiscard]] std::size_t num_buckets() const noexcept { return buckets_.size(); }
-  /// Smallest upper bound v such that at least q (in [0,1]) of the mass is <= v.
-  [[nodiscard]] std::uint64_t quantile_upper_bound(double q) const noexcept;
-
-  [[nodiscard]] std::string to_string() const;
-
- private:
-  std::vector<std::uint64_t> buckets_;
-  std::uint64_t total_ = 0;
 };
 
 std::ostream& operator<<(std::ostream& os, const RunningStat& stat);

@@ -1,10 +1,8 @@
 #include "otw/util/stats.hpp"
 
 #include <algorithm>
-#include <bit>
 #include <cmath>
 #include <ostream>
-#include <sstream>
 
 namespace otw::util {
 
@@ -47,71 +45,6 @@ double RunningStat::variance() const noexcept {
 }
 
 double RunningStat::stddev() const noexcept { return std::sqrt(variance()); }
-
-namespace {
-std::size_t bucket_index(std::uint64_t value) noexcept {
-  return value == 0 ? 0 : static_cast<std::size_t>(std::bit_width(value));
-}
-}  // namespace
-
-void Log2Histogram::add(std::uint64_t value) noexcept {
-  const std::size_t idx = bucket_index(value);
-  if (idx >= buckets_.size()) {
-    buckets_.resize(idx + 1, 0);
-  }
-  ++buckets_[idx];
-  ++total_;
-}
-
-Log2Histogram Log2Histogram::from_buckets(std::vector<std::uint64_t> buckets) {
-  Log2Histogram h;
-  h.buckets_ = std::move(buckets);
-  for (const std::uint64_t count : h.buckets_) {
-    h.total_ += count;
-  }
-  return h;
-}
-
-void Log2Histogram::merge(const Log2Histogram& other) {
-  if (other.buckets_.size() > buckets_.size()) {
-    buckets_.resize(other.buckets_.size(), 0);
-  }
-  for (std::size_t i = 0; i < other.buckets_.size(); ++i) {
-    buckets_[i] += other.buckets_[i];
-  }
-  total_ += other.total_;
-}
-
-std::uint64_t Log2Histogram::quantile_upper_bound(double q) const noexcept {
-  if (total_ == 0) {
-    return 0;
-  }
-  q = std::clamp(q, 0.0, 1.0);
-  const auto target = static_cast<std::uint64_t>(
-      std::ceil(q * static_cast<double>(total_)));
-  std::uint64_t seen = 0;
-  for (std::size_t i = 0; i < buckets_.size(); ++i) {
-    seen += buckets_[i];
-    if (seen >= target) {
-      return i == 0 ? 0 : (std::uint64_t{1} << i) - 1;
-    }
-  }
-  return (std::uint64_t{1} << buckets_.size()) - 1;
-}
-
-std::string Log2Histogram::to_string() const {
-  std::ostringstream os;
-  os << "hist[n=" << total_ << "]";
-  for (std::size_t i = 0; i < buckets_.size(); ++i) {
-    if (buckets_[i] == 0) {
-      continue;
-    }
-    const std::uint64_t lo = i == 0 ? 0 : (std::uint64_t{1} << (i - 1));
-    const std::uint64_t hi = i == 0 ? 0 : (std::uint64_t{1} << i) - 1;
-    os << " [" << lo << ".." << hi << "]=" << buckets_[i];
-  }
-  return os.str();
-}
 
 std::ostream& operator<<(std::ostream& os, const RunningStat& stat) {
   return os << "n=" << stat.count() << " mean=" << stat.mean()

@@ -79,16 +79,6 @@ TEST(Threaded, PropagatesLpExceptions) {
   EXPECT_THROW(engine.run({&bad, &good}), std::runtime_error);
 }
 
-TEST(Threaded, ChargeAccumulatesBusyTime) {
-  ScriptLp lp([count = 0](LpContext& ctx) mutable {
-    ctx.charge(1'000);
-    return ++count == 5 ? StepStatus::Done : StepStatus::Active;
-  });
-  ThreadedEngine engine(ThreadedConfig{});
-  const auto result = engine.run({&lp});
-  EXPECT_EQ(result.lp_busy_ns[0], 5'000u);
-}
-
 TEST(Threaded, SpinOnChargeConsumesWallTime) {
   ThreadedConfig cfg;
   cfg.spin_on_charge = true;

@@ -16,9 +16,6 @@ class FakeLp final : public LpServices {
     return clock;
   }
   void wall_charge(std::uint64_t ns) noexcept override { clock += ns; }
-  [[nodiscard]] const platform::CostModel& costs() const noexcept override {
-    return cost_model;
-  }
   [[nodiscard]] VirtualTime end_time() const noexcept override { return end; }
 
   [[nodiscard]] std::size_t anti_count() const {
@@ -32,7 +29,6 @@ class FakeLp final : public LpServices {
 
   std::vector<Event> routed;
   std::uint64_t clock = 0;
-  platform::CostModel cost_model = platform::CostModel::free();
   VirtualTime end = VirtualTime::infinity();
 };
 

@@ -19,8 +19,6 @@ ObjectStats sample_object_stats() {
   s.anti_messages_received = 4;
   s.lazy_hits = 3;
   s.lazy_misses = 1;
-  s.rollback_length.add(2);
-  s.rollback_length.add(5);
   return s;
 }
 
@@ -32,7 +30,6 @@ TEST(ObjectStats, MergeAddsAllCounters) {
   EXPECT_EQ(a.events_committed, 160u);
   EXPECT_EQ(a.rollbacks, 14u);
   EXPECT_EQ(a.lazy_hits, 6u);
-  EXPECT_EQ(a.rollback_length.count(), 4u);
 }
 
 TEST(LpStats, MergeAddsAllCounters) {

@@ -201,10 +201,6 @@ class LoopbackCtx final : public platform::LpContext {
     q.pop_front();
     return msg;
   }
-  [[nodiscard]] const platform::CostModel& costs() const noexcept override {
-    static const platform::CostModel kFree = platform::CostModel::free();
-    return kFree;
-  }
 
  private:
   LpId self_;

@@ -72,53 +72,5 @@ TEST(RunningStat, ResetClears) {
   EXPECT_DOUBLE_EQ(s.mean(), 0.0);
 }
 
-TEST(Log2Histogram, BucketBoundaries) {
-  Log2Histogram h;
-  h.add(0);  // bucket 0
-  h.add(1);  // bucket 1: [1,1]
-  h.add(2);  // bucket 2: [2,3]
-  h.add(3);
-  h.add(4);  // bucket 3: [4,7]
-  h.add(7);
-  h.add(8);  // bucket 4: [8,15]
-  EXPECT_EQ(h.count(), 7u);
-  EXPECT_EQ(h.bucket(0), 1u);
-  EXPECT_EQ(h.bucket(1), 1u);
-  EXPECT_EQ(h.bucket(2), 2u);
-  EXPECT_EQ(h.bucket(3), 2u);
-  EXPECT_EQ(h.bucket(4), 1u);
-}
-
-TEST(Log2Histogram, QuantileUpperBound) {
-  Log2Histogram h;
-  for (int i = 0; i < 90; ++i) h.add(1);
-  for (int i = 0; i < 10; ++i) h.add(100);
-  EXPECT_EQ(h.quantile_upper_bound(0.5), 1u);
-  EXPECT_GE(h.quantile_upper_bound(0.99), 100u);
-}
-
-TEST(Log2Histogram, QuantileOnEmpty) {
-  Log2Histogram h;
-  EXPECT_EQ(h.quantile_upper_bound(0.5), 0u);
-}
-
-TEST(Log2Histogram, MergeAddsCounts) {
-  Log2Histogram a, b;
-  a.add(1);
-  a.add(5);
-  b.add(5);
-  b.add(1000);
-  a.merge(b);
-  EXPECT_EQ(a.count(), 4u);
-  EXPECT_EQ(a.bucket(3), 2u);  // two 5s
-}
-
-TEST(Log2Histogram, ToStringMentionsCounts) {
-  Log2Histogram h;
-  h.add(3);
-  const std::string s = h.to_string();
-  EXPECT_NE(s.find("n=1"), std::string::npos);
-}
-
 }  // namespace
 }  // namespace otw::util
