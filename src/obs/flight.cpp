@@ -153,9 +153,9 @@ std::string FlightRecorder::render(std::uint32_t shard,
     }
     os << "{\"wall_ns\":" << snap.wall_ns
        << ",\"gvt_ticks\":" << snap.gvt_ticks
-       << ",\"processed\":" << snap.total(live::Counter::EventsProcessed)
-       << ",\"committed\":" << snap.total(live::Counter::EventsCommitted)
-       << ",\"rolled_back\":" << snap.total(live::Counter::EventsRolledBack)
+       << ",\"processed\":" << snap.total(live::Counter::events_processed)
+       << ",\"committed\":" << snap.total(live::Counter::events_committed)
+       << ",\"rolled_back\":" << snap.total(live::Counter::events_rolled_back)
        << ",\"hists\":[";
     for (std::size_t h = 0; h < snap.hists.size(); ++h) {
       const hist::Entry& e = snap.hists[h];

@@ -34,6 +34,7 @@
 #include <utility>
 #include <vector>
 
+#include "otw/obs/counters.hpp"
 #include "otw/obs/export.hpp"
 #include "otw/obs/hist.hpp"
 
@@ -47,29 +48,30 @@ namespace otw::obs::live {
 // Metric identities.
 // ---------------------------------------------------------------------------
 
-/// Per-LP monotone counters (published as absolute running totals).
+/// Per-LP monotone counters (published as absolute running totals): one
+/// slot per counter of the schema (otw/obs/counters.hpp), object counters
+/// summed over the LP's objects, then the LP's own counters.
 enum class Counter : std::uint8_t {
-  EventsProcessed,
-  EventsCommitted,
-  EventsRolledBack,
-  Rollbacks,
-  AntiMessagesSent,
-  MessagesSent,
-  SendsHeld,
-  PressureEnters,
-  GvtEpochs,
+#define OTW_LIVE_COUNTER(name) name,
+  OTW_OBJECT_COUNTERS(OTW_LIVE_COUNTER) OTW_LP_COUNTERS(OTW_LIVE_COUNTER)
+#undef OTW_LIVE_COUNTER
   kCount,
+};
+
+/// Schema name of each Counter slot, in slot order.
+inline constexpr const char* kCounterNames[] = {
+#define OTW_LIVE_COUNTER_NAME(name) #name,
+    OTW_OBJECT_COUNTERS(OTW_LIVE_COUNTER_NAME)
+        OTW_LP_COUNTERS(OTW_LIVE_COUNTER_NAME)
+#undef OTW_LIVE_COUNTER_NAME
 };
 
 /// Per-LP point-in-time gauges.
 enum class Gauge : std::uint8_t {
-  LvtTicks,          ///< local virtual time (UINT64_MAX = infinity)
   MemoryBytes,       ///< live footprint (queues + state + pool slabs)
   MemoryBudgetBytes, ///< governance budget (0 = unlimited)
   PressureState,     ///< 0 Normal / 1 Throttle / 2 Emergency
-  OptimismWindowTicks,   ///< controller parameter (UINT64_MAX = unthrottled)
-  CheckpointPeriod,      ///< controller parameter (events per state save)
-  LastRollbackDepth,     ///< events undone by the most recent rollback
+  LastRollbackDepth, ///< events undone by the most recent rollback
   kCount,
 };
 
@@ -82,6 +84,7 @@ enum class EngineGauge : std::uint8_t {
 
 inline constexpr std::size_t kNumCounters =
     static_cast<std::size_t>(Counter::kCount);
+static_assert(std::size(kCounterNames) == kNumCounters);
 inline constexpr std::size_t kNumGauges = static_cast<std::size_t>(Gauge::kCount);
 inline constexpr std::size_t kNumEngineGauges =
     static_cast<std::size_t>(EngineGauge::kCount);
@@ -116,7 +119,8 @@ struct LiveSnapshot {
   std::uint64_t gvt_ticks = kTicksInfinity;
   std::array<std::uint64_t, kNumEngineGauges> engine{};
   std::vector<LpLive> lps;
-  /// Attribution histograms (non-empty seams only; codec v2 section).
+  /// Attribution histograms (non-empty seams only; the codec's histogram
+  /// section).
   std::vector<hist::Entry> hists;
 
   [[nodiscard]] std::uint64_t engine_gauge(EngineGauge g) const noexcept {
@@ -293,9 +297,25 @@ class LiveMetricsRegistry {
 
 void encode_snapshot(const LiveSnapshot& snap, std::vector<std::uint8_t>& out);
 
-/// Strict decode; false on truncation, bad magic, or unknown version.
+/// Strict decode; false on truncation, bad magic, a version other than the
+/// current one, slot counts other than this build's, or an unknown seam.
+/// STATS payloads come from fork()ed workers of the same binary, so there
+/// is no older or newer layout to tolerate.
 [[nodiscard]] bool decode_snapshot(const std::uint8_t* data, std::size_t len,
                                    LiveSnapshot& out);
+
+/// The attribution-histogram section, shared by the snapshot codec and the
+/// distributed RESULT frame: appends `entries` to `out`.
+void encode_hists(const std::vector<hist::Entry>& entries,
+                  std::vector<std::uint8_t>& out);
+
+/// Decodes one encode_hists() section starting at data[pos], advances `pos`
+/// past it and appends the entries to `out`, stamped with `shard`. False
+/// on truncation, an absurd entry count, an unknown seam or a bucket count
+/// other than this build's.
+[[nodiscard]] bool decode_hists(const std::uint8_t* data, std::size_t len,
+                                std::size_t& pos, std::uint32_t shard,
+                                std::vector<hist::Entry>& out);
 
 // ---------------------------------------------------------------------------
 // Watchdog.

@@ -12,13 +12,10 @@ namespace {
 //   u32 magic 'OTWL' | u32 version | u32 shard | u64 wall_ns | u64 gvt_ticks
 //   u32 n_engine | u64 * n_engine
 //   u32 n_lps    | per LP: u32 lp | u32 n_counters | u64 * | u32 n_gauges | u64 *
-// Version 2 appends the attribution-histogram section:
-//   u32 n_hists  | per hist: u32 seam | u32 src | u32 dst
-//                | u32 n_buckets | u64 count | u64 sum | u64 * n_buckets
-// Slot counts are explicit so a decoder one enum ahead/behind still frames
-// the payload correctly (extra slots are dropped, missing slots stay 0).
-// The decoder accepts version 1 (no histogram section) so a mixed fleet
-// mid-upgrade still merges into one ClusterView.
+//   u32 n_hists  | per hist: u32 seam | u32 src | u32 dst | u64 count | u64 sum
+//                | u32 n_buckets | u64 * n_buckets
+// Every slot count must equal this build's: workers are fork()s of the
+// coordinator, so a mismatch can only mean a corrupt payload.
 constexpr std::uint32_t kMagic = 0x4C57544Fu;  // 'OTWL'
 constexpr std::uint32_t kVersion = 2;
 
@@ -32,6 +29,16 @@ void put_u32(std::vector<std::uint8_t>& out, std::uint32_t v) {
 void put_u64(std::vector<std::uint8_t>& out, std::uint64_t v) {
   put_u32(out, static_cast<std::uint32_t>(v));
   put_u32(out, static_cast<std::uint32_t>(v >> 32));
+}
+
+/// u32 slot count, then the slots.
+template <std::size_t N>
+void put_slots(std::vector<std::uint8_t>& out,
+               const std::array<std::uint64_t, N>& slots) {
+  put_u32(out, static_cast<std::uint32_t>(N));
+  for (std::uint64_t v : slots) {
+    put_u64(out, v);
+  }
 }
 
 struct Cursor {
@@ -60,6 +67,21 @@ struct Cursor {
     v = static_cast<std::uint64_t>(lo) | static_cast<std::uint64_t>(hi) << 32;
     return true;
   }
+
+  /// A put_slots() block whose count must be exactly N.
+  template <std::size_t N>
+  [[nodiscard]] bool slots(std::array<std::uint64_t, N>& out) {
+    std::uint32_t n = 0;
+    if (!u32(n) || n != N) {
+      return false;
+    }
+    for (std::uint64_t& v : out) {
+      if (!u64(v)) {
+        return false;
+      }
+    }
+    return true;
+  }
 };
 
 /// -1 for the infinity sentinel, the tick count otherwise (JSON-friendly).
@@ -84,34 +106,14 @@ void encode_snapshot(const LiveSnapshot& snap, std::vector<std::uint8_t>& out) {
   put_u32(out, snap.shard);
   put_u64(out, snap.wall_ns);
   put_u64(out, snap.gvt_ticks);
-  put_u32(out, static_cast<std::uint32_t>(kNumEngineGauges));
-  for (std::uint64_t g : snap.engine) {
-    put_u64(out, g);
-  }
+  put_slots(out, snap.engine);
   put_u32(out, static_cast<std::uint32_t>(snap.lps.size()));
   for (const LpLive& lp : snap.lps) {
     put_u32(out, lp.lp);
-    put_u32(out, static_cast<std::uint32_t>(kNumCounters));
-    for (std::uint64_t c : lp.counters) {
-      put_u64(out, c);
-    }
-    put_u32(out, static_cast<std::uint32_t>(kNumGauges));
-    for (std::uint64_t g : lp.gauges) {
-      put_u64(out, g);
-    }
+    put_slots(out, lp.counters);
+    put_slots(out, lp.gauges);
   }
-  put_u32(out, static_cast<std::uint32_t>(snap.hists.size()));
-  for (const hist::Entry& e : snap.hists) {
-    put_u32(out, static_cast<std::uint32_t>(e.seam));
-    put_u32(out, e.src);
-    put_u32(out, e.dst);
-    put_u32(out, static_cast<std::uint32_t>(hist::kNumBuckets));
-    put_u64(out, e.hist.count);
-    put_u64(out, e.hist.sum);
-    for (std::uint64_t b : e.hist.buckets) {
-      put_u64(out, b);
-    }
-  }
+  encode_hists(snap.hists, out);
 }
 
 bool decode_snapshot(const std::uint8_t* data, std::size_t len,
@@ -120,28 +122,13 @@ bool decode_snapshot(const std::uint8_t* data, std::size_t len,
   std::uint32_t magic = 0;
   std::uint32_t version = 0;
   if (!cur.u32(magic) || magic != kMagic || !cur.u32(version) ||
-      version < 1 || version > kVersion) {
+      version != kVersion) {
     return false;
   }
   out = LiveSnapshot{};
-  if (!cur.u32(out.shard) || !cur.u64(out.wall_ns) || !cur.u64(out.gvt_ticks)) {
-    return false;
-  }
-  std::uint32_t n_engine = 0;
-  if (!cur.u32(n_engine)) {
-    return false;
-  }
-  for (std::uint32_t g = 0; g < n_engine; ++g) {
-    std::uint64_t v = 0;
-    if (!cur.u64(v)) {
-      return false;
-    }
-    if (g < kNumEngineGauges) {
-      out.engine[g] = v;
-    }
-  }
   std::uint32_t n_lps = 0;
-  if (!cur.u32(n_lps)) {
+  if (!cur.u32(out.shard) || !cur.u64(out.wall_ns) ||
+      !cur.u64(out.gvt_ticks) || !cur.slots(out.engine) || !cur.u32(n_lps)) {
     return false;
   }
   // 16 bytes is the floor for one serialized LP; rejects absurd counts
@@ -150,71 +137,50 @@ bool decode_snapshot(const std::uint8_t* data, std::size_t len,
     return false;
   }
   out.lps.resize(n_lps);
-  for (std::uint32_t i = 0; i < n_lps; ++i) {
-    LpLive& lp = out.lps[i];
-    std::uint32_t n_counters = 0;
-    if (!cur.u32(lp.lp) || !cur.u32(n_counters)) {
+  for (LpLive& lp : out.lps) {
+    if (!cur.u32(lp.lp) || !cur.slots(lp.counters) || !cur.slots(lp.gauges)) {
       return false;
-    }
-    for (std::uint32_t c = 0; c < n_counters; ++c) {
-      std::uint64_t v = 0;
-      if (!cur.u64(v)) {
-        return false;
-      }
-      if (c < kNumCounters) {
-        lp.counters[c] = v;
-      }
-    }
-    std::uint32_t n_gauges = 0;
-    if (!cur.u32(n_gauges)) {
-      return false;
-    }
-    for (std::uint32_t g = 0; g < n_gauges; ++g) {
-      std::uint64_t v = 0;
-      if (!cur.u64(v)) {
-        return false;
-      }
-      if (g < kNumGauges) {
-        lp.gauges[g] = v;
-      }
     }
   }
-  if (version >= 2) {
-    std::uint32_t n_hists = 0;
-    if (!cur.u32(n_hists)) {
-      return false;
-    }
-    // 32 bytes is a generous floor for one serialized histogram entry.
-    if (static_cast<std::size_t>(n_hists) > len / 32 + 1) {
-      return false;
-    }
-    out.hists.resize(n_hists);
-    for (std::uint32_t i = 0; i < n_hists; ++i) {
-      hist::Entry& e = out.hists[i];
-      std::uint32_t seam = 0;
-      std::uint32_t n_buckets = 0;
-      if (!cur.u32(seam) || !cur.u32(e.src) || !cur.u32(e.dst) ||
-          !cur.u32(n_buckets) || !cur.u64(e.hist.count) ||
-          !cur.u64(e.hist.sum)) {
-        return false;
-      }
-      if (seam >= static_cast<std::uint32_t>(hist::kNumSeams)) {
-        return false;
-      }
-      e.seam = static_cast<hist::Seam>(seam);
-      e.shard = out.shard;
-      for (std::uint32_t b = 0; b < n_buckets; ++b) {
-        std::uint64_t v = 0;
-        if (!cur.u64(v)) {
-          return false;
-        }
-        if (b < hist::kNumBuckets) {
-          e.hist.buckets[b] = v;
-        }
-      }
-    }
+  return decode_hists(data, len, cur.pos, out.shard, out.hists) &&
+         cur.pos == len;
+}
+
+void encode_hists(const std::vector<hist::Entry>& entries,
+                  std::vector<std::uint8_t>& out) {
+  put_u32(out, static_cast<std::uint32_t>(entries.size()));
+  for (const hist::Entry& e : entries) {
+    put_u32(out, static_cast<std::uint32_t>(e.seam));
+    put_u32(out, e.src);
+    put_u32(out, e.dst);
+    put_u64(out, e.hist.count);
+    put_u64(out, e.hist.sum);
+    put_slots(out, e.hist.buckets);
   }
-  return cur.pos == cur.len;
+}
+
+bool decode_hists(const std::uint8_t* data, std::size_t len, std::size_t& pos,
+                  std::uint32_t shard, std::vector<hist::Entry>& out) {
+  Cursor cur{data, len, pos};
+  std::uint32_t n_hists = 0;
+  // 32 bytes is a generous floor for one serialized histogram entry.
+  if (!cur.u32(n_hists) || static_cast<std::size_t>(n_hists) > len / 32 + 1) {
+    return false;
+  }
+  for (std::uint32_t i = 0; i < n_hists; ++i) {
+    hist::Entry e;
+    std::uint32_t seam = 0;
+    if (!cur.u32(seam) || seam >= static_cast<std::uint32_t>(hist::kNumSeams) ||
+        !cur.u32(e.src) || !cur.u32(e.dst) || !cur.u64(e.hist.count) ||
+        !cur.u64(e.hist.sum) || !cur.slots(e.hist.buckets)) {
+      return false;
+    }
+    e.seam = static_cast<hist::Seam>(seam);
+    e.shard = shard;
+    out.push_back(e);
+  }
+  pos = cur.pos;
+  return true;
 }
 
 // ---------------------------------------------------------------------------
@@ -271,9 +237,9 @@ std::vector<HealthEvent> Watchdog::feed(const std::vector<LiveSnapshot>& shards,
                snap.shard, now_ns,
                "snapshot age " + std::to_string(age) + " ns", out);
 
-    const std::uint64_t processed = snap.total(Counter::EventsProcessed);
-    const std::uint64_t committed = snap.total(Counter::EventsCommitted);
-    const std::uint64_t rolled_back = snap.total(Counter::EventsRolledBack);
+    const std::uint64_t processed = snap.total(Counter::events_processed);
+    const std::uint64_t committed = snap.total(Counter::events_committed);
+    const std::uint64_t rolled_back = snap.total(Counter::events_rolled_back);
 
     if (st.seen) {
       // --- GvtStall: GVT frozen across feeds while the shard kept busy. ---
@@ -399,36 +365,17 @@ MetricsSnapshot build_live_metrics(const std::vector<LiveSnapshot>& shards) {
   for (const LiveSnapshot& s : shards) {
     const std::pair<std::string, std::string> label{"shard",
                                                     std::to_string(s.shard)};
-    auto add = [&](const char* name, double value, Metric::Type type) {
-      Metric metric;
-      metric.name = name;
-      metric.labels.push_back(label);
-      metric.value = value;
-      metric.type = type;
-      snapshot.metrics.push_back(std::move(metric));
+    auto add = [&](std::string name, double value, Metric::Type type) {
+      snapshot.add(std::move(name), value, type).labels.push_back(label);
     };
     using T = Metric::Type;
     add("otw_live_lps", static_cast<double>(s.lps.size()), T::Gauge);
     add("otw_live_shard_gvt_ticks", static_cast<double>(s.gvt_ticks), T::Gauge);
     add("otw_live_snapshot_wall_ns", static_cast<double>(s.wall_ns), T::Gauge);
-    add("otw_live_events_processed_total",
-        static_cast<double>(s.total(Counter::EventsProcessed)), T::Counter);
-    add("otw_live_events_committed_total",
-        static_cast<double>(s.total(Counter::EventsCommitted)), T::Counter);
-    add("otw_live_events_rolled_back_total",
-        static_cast<double>(s.total(Counter::EventsRolledBack)), T::Counter);
-    add("otw_live_rollbacks_total",
-        static_cast<double>(s.total(Counter::Rollbacks)), T::Counter);
-    add("otw_live_anti_messages_sent_total",
-        static_cast<double>(s.total(Counter::AntiMessagesSent)), T::Counter);
-    add("otw_live_messages_sent_total",
-        static_cast<double>(s.total(Counter::MessagesSent)), T::Counter);
-    add("otw_live_sends_held_total",
-        static_cast<double>(s.total(Counter::SendsHeld)), T::Counter);
-    add("otw_live_pressure_enters_total",
-        static_cast<double>(s.total(Counter::PressureEnters)), T::Counter);
-    add("otw_live_gvt_epochs_total",
-        static_cast<double>(s.total(Counter::GvtEpochs)), T::Counter);
+    for (std::size_t c = 0; c < kNumCounters; ++c) {
+      add(std::string("otw_live_") + kCounterNames[c] + "_total",
+          static_cast<double>(s.total(static_cast<Counter>(c))), T::Counter);
+    }
     add("otw_live_memory_bytes",
         static_cast<double>(s.sum_gauge(Gauge::MemoryBytes)), T::Gauge);
     add("otw_live_memory_budget_bytes",
@@ -498,16 +445,11 @@ void write_live_json(std::ostream& os, const std::vector<LiveSnapshot>& shards,
     os << "{\"shard\":" << s.shard << ",\"wall_ns\":" << s.wall_ns
        << ",\"num_lps\":" << s.lps.size() << ",\"gvt_ticks\":";
     append_ticks(os, s.gvt_ticks);
-    os << ",\"events_processed\":" << s.total(Counter::EventsProcessed)
-       << ",\"events_committed\":" << s.total(Counter::EventsCommitted)
-       << ",\"events_rolled_back\":" << s.total(Counter::EventsRolledBack)
-       << ",\"rollbacks\":" << s.total(Counter::Rollbacks)
-       << ",\"anti_messages_sent\":" << s.total(Counter::AntiMessagesSent)
-       << ",\"messages_sent\":" << s.total(Counter::MessagesSent)
-       << ",\"sends_held\":" << s.total(Counter::SendsHeld)
-       << ",\"pressure_enters\":" << s.total(Counter::PressureEnters)
-       << ",\"gvt_epochs\":" << s.total(Counter::GvtEpochs)
-       << ",\"memory_bytes\":" << s.sum_gauge(Gauge::MemoryBytes)
+    for (std::size_t c = 0; c < kNumCounters; ++c) {
+      os << ",\"" << kCounterNames[c]
+         << "\":" << s.total(static_cast<Counter>(c));
+    }
+    os << ",\"memory_bytes\":" << s.sum_gauge(Gauge::MemoryBytes)
        << ",\"memory_budget_bytes\":" << s.sum_gauge(Gauge::MemoryBudgetBytes)
        << ",\"pressure_state_max\":" << s.max_gauge(Gauge::PressureState)
        << ",\"last_rollback_depth_max\":"

@@ -16,7 +16,9 @@
 #include <optional>
 #include <stdexcept>
 #include <string>
+#include <type_traits>
 
+#include "otw/obs/live.hpp"
 #include "otw/platform/snapshot_file.hpp"
 #include "otw/platform/wire.hpp"
 #include "otw/util/assert.hpp"
@@ -179,13 +181,17 @@ struct PeerLink {
   [[nodiscard]] bool out_pending() const noexcept { return out_pos < out.size(); }
 };
 
-/// Everything one worker process accumulates and ships home in its RESULT.
+/// Everything one worker process accumulates and ships home in its RESULT,
+/// as one raw record (fork guarantees coordinator and workers share the
+/// layout). Workers only set the transport counters of `dist`, so the
+/// coordinator sums the whole record.
 struct ShardTotals {
   std::uint64_t steps = 0;
   std::uint64_t physical_messages = 0;
   std::uint64_t wire_bytes = 0;
   DistStats dist;
 };
+static_assert(std::is_trivially_copyable_v<ShardTotals>);
 
 class ShardDriver {
  public:
@@ -1327,17 +1333,7 @@ void ShardDriver::run() {
 
 void ShardDriver::encode_result(WireWriter& w,
                                 const std::vector<std::uint8_t>& harvest) const {
-  w.u64(totals_.steps);
-  w.u64(totals_.physical_messages);
-  w.u64(totals_.wire_bytes);
-  w.u64(totals_.dist.frames_sent);
-  w.u64(totals_.dist.frames_received);
-  w.u64(totals_.dist.bytes_sent);
-  w.u64(totals_.dist.bytes_received);
-  w.u64(totals_.dist.gvt_token_frames);
-  w.u64(totals_.dist.frames_forwarded);
-  w.u64(totals_.dist.serialize_ns);
-  w.u64(totals_.dist.deserialize_ns);
+  w.bytes(&totals_, sizeof totals_);
   w.u32(static_cast<std::uint32_t>(harvest.size()));
   w.bytes(harvest.data(), harvest.size());
   // Clock alignment: driver epoch (absolute worker steady clock) plus the
@@ -1347,21 +1343,14 @@ void ShardDriver::encode_result(WireWriter& w,
   w.u64(epoch_ns_);
   w.u64(static_cast<std::uint64_t>(clock_offset_ns_));  // two's complement
   w.u64(clock_rtt_ns_);
-  // Attribution histograms (fixed bucket count; fork shares the layout).
-  const std::vector<obs::hist::Entry> entries =
-      live_.bank != nullptr ? live_.bank->snapshot(shard_)
-                            : std::vector<obs::hist::Entry>{};
-  w.u32(static_cast<std::uint32_t>(entries.size()));
-  for (const obs::hist::Entry& e : entries) {
-    w.u32(static_cast<std::uint32_t>(e.seam));
-    w.u32(e.src);
-    w.u32(e.dst);
-    w.u64(e.hist.count);
-    w.u64(e.hist.sum);
-    for (std::uint64_t b : e.hist.buckets) {
-      w.u64(b);
-    }
-  }
+  // Attribution histograms, in the STATS frame's histogram section.
+  std::vector<std::uint8_t> hists;
+  obs::live::encode_hists(live_.bank != nullptr
+                              ? live_.bank->snapshot(shard_)
+                              : std::vector<obs::hist::Entry>{},
+                          hists);
+  w.u32(static_cast<std::uint32_t>(hists.size()));
+  w.bytes(hists.data(), hists.size());
   // Wire trace (workers and coordinator share the TraceRecord ABI via fork).
   const std::vector<obs::TraceRecord> records =
       config_.wire_trace_capacity > 0 ? trace_.drain()
@@ -2284,19 +2273,12 @@ EngineRunResult DistributedEngine::run(const std::vector<LpRunner*>& lps,
           const std::size_t frame_len = kFrameHeaderBytes + header.payload_len;
           if (header.tag == kTagResult) {
             WireReader reader(frame + kFrameHeaderBytes, header.payload_len);
-            result.steps += reader.u64();
-            result.physical_messages += reader.u64();
-            result.wire_bytes += reader.u64();
-            DistStats shard_stats;
-            shard_stats.frames_sent = reader.u64();
-            shard_stats.frames_received = reader.u64();
-            shard_stats.bytes_sent = reader.u64();
-            shard_stats.bytes_received = reader.u64();
-            shard_stats.gvt_token_frames = reader.u64();
-            shard_stats.frames_forwarded = reader.u64();
-            shard_stats.serialize_ns = reader.u64();
-            shard_stats.deserialize_ns = reader.u64();
-            result.dist.add(shard_stats);
+            ShardTotals totals;
+            reader.bytes(&totals, sizeof totals);
+            result.steps += totals.steps;
+            result.physical_messages += totals.physical_messages;
+            result.wire_bytes += totals.wire_bytes;
+            result.dist.add(totals.dist);
             const std::uint32_t blob_len = reader.u32();
             payloads_[conn.shard].resize(blob_len);
             reader.bytes(payloads_[conn.shard].data(), blob_len);
@@ -2312,23 +2294,14 @@ EngineRunResult DistributedEngine::run(const std::vector<LpRunner*>& lps,
                 static_cast<std::int64_t>(epoch_ns) + clock.offset_ns -
                 static_cast<std::int64_t>(t_start);
             result.shard_trace_shift_ns[conn.shard] = shift;
-            const std::uint32_t n_hists = reader.u32();
-            for (std::uint32_t k = 0; k < n_hists; ++k) {
-              obs::hist::Entry e;
-              const std::uint32_t seam = reader.u32();
-              OTW_REQUIRE_MSG(seam < obs::hist::kNumSeams,
-                              "RESULT carries an unknown histogram seam");
-              e.seam = static_cast<obs::hist::Seam>(seam);
-              e.shard = conn.shard;
-              e.src = reader.u32();
-              e.dst = reader.u32();
-              e.hist.count = reader.u64();
-              e.hist.sum = reader.u64();
-              for (std::uint64_t& b : e.hist.buckets) {
-                b = reader.u64();
-              }
-              result.hists.push_back(std::move(e));
-            }
+            std::vector<std::uint8_t> hists(reader.u32());
+            reader.bytes(hists.data(), hists.size());
+            std::size_t hists_pos = 0;
+            OTW_REQUIRE_MSG(
+                obs::live::decode_hists(hists.data(), hists.size(), hists_pos,
+                                        conn.shard, result.hists) &&
+                    hists_pos == hists.size(),
+                "RESULT carries a malformed histogram section");
             obs::LpTraceLog wire_log;
             wire_log.lp = conn.shard;
             wire_log.dropped = reader.u64();

@@ -1,8 +1,9 @@
 // Kernel side of the distributed engine: assembles the model, hands the LP
-// runners to platform::DistributedEngine, and (de)serializes per-shard
-// results. The harvest half runs in the worker process after its LPs are
-// Done; the merge half runs in the coordinator. Fork guarantees both halves
-// share one ABI, so the trivially-copyable stats ship as raw bytes.
+// runners to platform::DistributedEngine, and (de)serializes per-LP
+// harvests. Workers encode a harvest of every LP they own once it is Done;
+// the coordinator decodes them and lays out the result with build_result,
+// exactly as the in-process engines do. Fork guarantees both sides share
+// one ABI, so the trivially-copyable stats ship as raw bytes.
 #include <atomic>
 #include <chrono>
 #include <cstring>
@@ -31,93 +32,56 @@ static_assert(std::is_trivially_copyable_v<obs::PhaseTotals>);
 static_assert(std::is_trivially_copyable_v<LpSample>);
 static_assert(std::is_trivially_copyable_v<ObjectSample>);
 
-/// Serializes every LP this shard owns at harvest time (runs in the worker
-/// process). `owners` is the engine's live LP -> shard map: with on-line
-/// migration a shard harvests LPs its initial placement never gave it.
-void encode_shard(WireWriter& w, const Assembly& assembly, std::uint32_t shard,
-                  const std::vector<std::uint32_t>& owners) {
-  std::uint32_t n_local = 0;
-  for (LpId lp = 0; lp < assembly.lps.size(); ++lp) {
-    n_local += owners[lp] == shard ? 1 : 0;
-  }
-  w.u32(n_local);
-  for (LpId lp = 0; lp < assembly.lps.size(); ++lp) {
-    if (owners[lp] != shard) {
-      continue;
-    }
-    LogicalProcess& proc = *assembly.lps[lp];
-    OTW_REQUIRE_MSG(proc.done(), "harvesting a shard whose LPs are not Done");
-    w.u32(lp);
-    w.u64(proc.gvt().ticks());
-    write_pod(w, proc.snapshot_lp_stats());
-    obs::Recorder& recorder = proc.recorder();
-    w.u8(recorder.tracing() ? 1 : 0);
-    if (recorder.tracing()) {
-      const obs::LpTraceLog log = recorder.drain_trace();
-      w.u64(log.dropped);
-      write_pod_vector(w, log.records);
-    }
-    w.u8(recorder.profiling() ? 1 : 0);
-    if (recorder.profiling()) {
-      write_pod(w, recorder.phase_totals());
-    }
-    write_pod_vector(w, proc.trace());
-    w.u32(static_cast<std::uint32_t>(proc.runtimes().size()));
-    for (const auto& runtime : proc.runtimes()) {
-      w.u32(runtime->self());
-      w.u64(runtime->state_digest());
-      write_pod(w, runtime->snapshot_stats());
-      write_pod_vector(w, runtime->trace());
-    }
-  }
-}
-
-/// One LP's harvested state, parked until all shards are in so the merged
-/// result can be laid out in LP-id order regardless of shard interleaving.
-struct HarvestedLp {
-  VirtualTime gvt = VirtualTime::zero();
-  LpStats stats;
-  std::optional<obs::LpTraceLog> trace;
-  std::optional<obs::PhaseTotals> phases;
-  std::vector<LpSample> samples;
-};
-
-void decode_shard(WireReader& r, std::vector<std::optional<HarvestedLp>>& lps,
-                  RunResult& result) {
-  const std::uint32_t n_local = r.u32();
-  for (std::uint32_t i = 0; i < n_local; ++i) {
-    const LpId lp = r.u32();
-    OTW_REQUIRE_MSG(lp < lps.size() && !lps[lp].has_value(),
-                    "shard result names an unknown or duplicate LP");
-    HarvestedLp harvested;
-    harvested.gvt = VirtualTime(r.u64());
-    harvested.stats = read_pod<LpStats>(r);
-    if (r.u8() != 0) {
-      obs::LpTraceLog log;
-      log.lp = lp;
-      log.dropped = r.u64();
-      log.records = read_pod_vector<obs::TraceRecord>(r);
-      harvested.trace = std::move(log);
-    }
-    if (r.u8() != 0) {
-      harvested.phases = read_pod<obs::PhaseTotals>(r);
-    }
-    harvested.samples = read_pod_vector<LpSample>(r);
-    const std::uint32_t n_objects = r.u32();
-    for (std::uint32_t k = 0; k < n_objects; ++k) {
-      const ObjectId id = r.u32();
-      OTW_REQUIRE_MSG(id < result.digests.size(),
-                      "shard result names an unknown object");
-      result.digests[id] = r.u64();
-      result.stats.objects[id] = read_pod<ObjectStats>(r);
-      result.telemetry.objects[id] =
-          ObjectTrace{id, read_pod_vector<ObjectSample>(r)};
-    }
-    lps[lp] = std::move(harvested);
-  }
-}
-
 }  // namespace
+
+void encode_harvest(WireWriter& w, const LpHarvest& h) {
+  w.u32(h.lp);
+  w.u64(h.gvt.ticks());
+  write_pod(w, h.stats);
+  w.u8(h.trace.has_value() ? 1 : 0);
+  if (h.trace.has_value()) {
+    w.u64(h.trace->dropped);
+    write_pod_vector(w, h.trace->records);
+  }
+  w.u8(h.phases.has_value() ? 1 : 0);
+  if (h.phases.has_value()) {
+    write_pod(w, *h.phases);
+  }
+  write_pod_vector(w, h.samples);
+  w.u32(static_cast<std::uint32_t>(h.objects.size()));
+  for (const LpHarvest::Object& object : h.objects) {
+    w.u32(object.id);
+    w.u64(object.digest);
+    write_pod(w, object.stats);
+    write_pod_vector(w, object.samples);
+  }
+}
+
+LpHarvest decode_harvest(WireReader& r) {
+  LpHarvest h;
+  h.lp = r.u32();
+  h.gvt = VirtualTime(r.u64());
+  h.stats = read_pod<LpStats>(r);
+  if (r.u8() != 0) {
+    obs::LpTraceLog log;
+    log.lp = h.lp;
+    log.dropped = r.u64();
+    log.records = read_pod_vector<obs::TraceRecord>(r);
+    h.trace = std::move(log);
+  }
+  if (r.u8() != 0) {
+    h.phases = read_pod<obs::PhaseTotals>(r);
+  }
+  h.samples = read_pod_vector<LpSample>(r);
+  h.objects.resize(r.u32());
+  for (LpHarvest::Object& object : h.objects) {
+    object.id = r.u32();
+    object.digest = r.u64();
+    object.stats = read_pod<ObjectStats>(r);
+    object.samples = read_pod_vector<ObjectSample>(r);
+  }
+  return h;
+}
 
 RunResult run_distributed_impl(const Model& model, const KernelConfig& config,
                                platform::DistributedConfig dist_config) {
@@ -291,8 +255,8 @@ RunResult run_distributed_impl(const Model& model, const KernelConfig& config,
         }
         for (const obs::live::LpLive& cell : snaps[owner].lps) {
           if (cell.lp == lp) {
-            lp_work[lp] = cell.counter(obs::live::Counter::EventsCommitted) +
-                          cell.counter(obs::live::Counter::EventsRolledBack);
+            lp_work[lp] = cell.counter(obs::live::Counter::events_committed) +
+                          cell.counter(obs::live::Counter::events_rolled_back);
             totals[owner] += lp_work[lp];
             break;
           }
@@ -354,10 +318,17 @@ RunResult run_distributed_impl(const Model& model, const KernelConfig& config,
   try {
     engine_result = engine.run(
         assembly.runners,
+        // Worker side: harvest every LP this shard owns at the end. `owners`
+        // is the live LP -> shard map: with on-line migration a shard
+        // harvests LPs its initial placement never gave it.
         [&assembly](std::uint32_t shard, const std::vector<std::uint32_t>& owners) {
           std::vector<std::uint8_t> blob;
           WireWriter writer(blob);
-          encode_shard(writer, assembly, shard, owners);
+          for (LpId lp = 0; lp < assembly.lps.size(); ++lp) {
+            if (owners[lp] == shard) {
+              encode_harvest(writer, harvest(*assembly.lps[lp]));
+            }
+          }
           return blob;
         },
         live_hooks, migration_hooks, fault_hooks);
@@ -370,86 +341,36 @@ RunResult run_distributed_impl(const Model& model, const KernelConfig& config,
     throw;
   }
 
-  RunResult result;
-  result.execution_time_ns = engine_result.execution_time_ns;
-  result.wall_time_ns = static_cast<std::uint64_t>(
+  const std::uint64_t wall_ns = static_cast<std::uint64_t>(
       std::chrono::duration_cast<std::chrono::nanoseconds>(
           std::chrono::steady_clock::now() - start)
           .count());
-  result.physical_messages = engine_result.physical_messages;
-  result.wire_bytes = engine_result.wire_bytes;
-  result.dist = engine_result.dist;
-  result.recoveries = engine_result.recoveries;
-  result.hists = engine_result.hists;
-  result.shard_clocks = engine_result.shard_clocks;
-
-  result.stats.objects.resize(model.objects.size());
-  result.digests.resize(model.objects.size(), 0);
-  result.telemetry.objects.resize(model.objects.size());
-
-  const auto num_lps = static_cast<std::uint32_t>(assembly.lps.size());
-  std::vector<std::optional<HarvestedLp>> harvested(num_lps);
-  const auto& payloads = engine.shard_payloads();
-  OTW_REQUIRE_MSG(payloads.size() == num_shards,
-                  "coordinator returned without every shard's payload");
-  for (const std::vector<std::uint8_t>& payload : payloads) {
+  std::vector<LpHarvest> lps;
+  for (const std::vector<std::uint8_t>& payload : engine.shard_payloads()) {
     WireReader reader(payload.data(), payload.size());
-    decode_shard(reader, harvested, result);
-    OTW_REQUIRE_MSG(reader.done(), "trailing bytes in a shard result payload");
-  }
-
-  // Same layout discipline as detail::collect: LP-indexed vectors in LP-id
-  // order, LP trace tracks first (positional), wire tracks offset past them.
-  for (LpId lp = 0; lp < num_lps; ++lp) {
-    OTW_REQUIRE_MSG(harvested[lp].has_value(), "no shard reported this LP");
-    HarvestedLp& h = *harvested[lp];
-    result.stats.lps.push_back(h.stats);
-    result.stats.final_gvt = h.gvt;
-    if (h.trace.has_value()) {
-      // LP trace timestamps are the owning shard's driver clock; shift them
-      // onto the coordinator's run-relative timeline (same rebase the engine
-      // applied to its wire tracks) so the merged Chrome trace and the
-      // analysis cascade walk are clock-aligned across shards. Keyed on the
-      // FINAL owner: that is the shard whose recorder drained this trace.
-      const std::uint32_t shard = lp < engine_result.final_owners.size()
-                                      ? engine_result.final_owners[lp]
-                                      : platform::shard_of_lp(lp, num_shards);
-      const std::int64_t shift =
-          shard < engine_result.shard_trace_shift_ns.size()
-              ? engine_result.shard_trace_shift_ns[shard]
-              : 0;
-      for (obs::TraceRecord& rec : h.trace->records) {
-        const std::int64_t shifted =
-            static_cast<std::int64_t>(rec.wall_ns) + shift;
-        rec.wall_ns = shifted > 0 ? static_cast<std::uint64_t>(shifted) : 0;
-      }
-      result.trace.lps.push_back(std::move(*h.trace));
-    }
-    if (h.phases.has_value()) {
-      result.lp_phases.push_back(*h.phases);
-    }
-    if (!h.samples.empty()) {
-      LpTrace trace;
-      trace.lp = static_cast<std::uint32_t>(result.telemetry.lps.size());
-      trace.samples = std::move(h.samples);
-      result.telemetry.lps.push_back(std::move(trace));
+    while (!reader.done()) {
+      lps.push_back(decode_harvest(reader));
     }
   }
-  for (const obs::LpTraceLog& log : engine_result.worker_traces) {
-    obs::LpTraceLog shifted = log;
-    shifted.lp = num_lps + log.lp;
-    result.trace.lps.push_back(std::move(shifted));
-  }
-
-  if (result.telemetry.lps.empty()) {
-    bool any = false;
-    for (const auto& trace : result.telemetry.objects) {
-      any = any || !trace.samples.empty();
+  OTW_REQUIRE_MSG(lps.size() == assembly.lps.size(),
+                  "shard results do not cover every LP");
+  for (LpHarvest& h : lps) {
+    if (!h.trace.has_value()) {
+      continue;
     }
-    if (!any) {
-      result.telemetry.objects.clear();
+    // LP trace timestamps are the owning shard's driver clock; shift them
+    // onto the coordinator's run-relative timeline (same rebase the engine
+    // applied to its wire tracks) so the merged Chrome trace and the
+    // analysis cascade walk are clock-aligned across shards. Keyed on the
+    // FINAL owner: that is the shard whose recorder drained this trace.
+    const std::int64_t shift = engine_result.shard_trace_shift_ns.at(
+        engine_result.final_owners.at(h.lp));
+    for (obs::TraceRecord& rec : h.trace->records) {
+      const std::int64_t shifted = static_cast<std::int64_t>(rec.wall_ns) + shift;
+      rec.wall_ns = shifted > 0 ? static_cast<std::uint64_t>(shifted) : 0;
     }
   }
+  RunResult result = build_result(model, std::move(lps), engine_result, wall_ns);
   finish_live_server(server, result);
   return result;
 }

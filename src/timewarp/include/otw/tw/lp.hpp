@@ -314,6 +314,7 @@ class LogicalProcess final : public platform::LpRunner,
   void set_live(obs::live::LiveMetricsRegistry* live) noexcept { live_ = live; }
 
   // --- results / introspection ---
+  [[nodiscard]] LpId id() const noexcept { return id_; }
   [[nodiscard]] VirtualTime gvt() const noexcept { return gvt_value_; }
   [[nodiscard]] bool done() const noexcept { return done_; }
   [[nodiscard]] const LpStats& lp_stats() const noexcept { return stats_; }

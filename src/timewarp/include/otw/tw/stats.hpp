@@ -7,6 +7,7 @@
 #include <vector>
 
 #include "otw/core/cancellation_controller.hpp"
+#include "otw/obs/counters.hpp"
 #include "otw/tw/virtual_time.hpp"
 #include "otw/util/stats.hpp"
 
@@ -38,56 +39,36 @@ struct MemoryStats {
   void add(const MemoryStats& other) noexcept;
 };
 
+#define OTW_STATS_FIELD(name) std::uint64_t name = 0;
+
+/// Per-object counters (the OTW_OBJECT_COUNTERS schema) plus the
+/// controllers' final settings.
 struct ObjectStats {
-  std::uint64_t events_processed = 0;   ///< process_event calls, incl. re-execution
-  std::uint64_t events_committed = 0;   ///< events finally below GVT
-  std::uint64_t events_rolled_back = 0; ///< processed events undone by rollbacks
-  std::uint64_t rollbacks = 0;
-  std::uint64_t coast_forward_events = 0;
-  std::uint64_t states_saved = 0;
-  std::uint64_t state_restores = 0;
-  std::uint64_t messages_sent = 0;      ///< positive messages (first sends + re-sends)
-  std::uint64_t anti_messages_sent = 0;
-  std::uint64_t anti_messages_received = 0;
-  std::uint64_t stragglers = 0;
-  std::uint64_t lazy_hits = 0;          ///< identical regeneration under lazy
-  std::uint64_t lazy_misses = 0;        ///< lazy entries cancelled after all
-  std::uint64_t passive_hits = 0;       ///< "lazy aggressive hits" (paper S5)
-  std::uint64_t passive_misses = 0;
-  std::uint64_t cancellation_switches = 0;
-  std::uint64_t checkpoint_control_ticks = 0;
+  OTW_OBJECT_COUNTERS(OTW_STATS_FIELD)
   std::uint32_t final_checkpoint_interval = 1;
   core::CancellationMode final_mode = core::CancellationMode::Aggressive;
   double final_hit_ratio = 0.0;
 
+  /// Sums every schema counter; the final_* settings are left alone.
   void merge(const ObjectStats& other);
 };
 
+/// Per-LP counters (the OTW_LP_COUNTERS schema) plus aggregation and
+/// memory-governance readings.
 struct LpStats {
-  std::uint64_t gvt_epochs = 0;
-  std::uint64_t gvt_rounds = 0;        ///< token passes handled
-  std::uint64_t events_sent_remote = 0;
-  std::uint64_t events_sent_local = 0;
-  std::uint64_t aggregates_sent = 0;
-  std::uint64_t messages_aggregated = 0;
+  OTW_LP_COUNTERS(OTW_STATS_FIELD)
   util::RunningStat aggregate_size;
   util::RunningStat aggregation_window_us;
-  std::uint64_t steps = 0;
-  std::uint64_t idle_polls = 0;
 
   /// --- memory governance (final footprint + pressure history) ---
   MemoryStats memory;                      ///< footprint at the last sample
   std::uint64_t memory_peak_bytes = 0;     ///< max sampled MemoryStats::total()
   std::uint64_t memory_budget_bytes = 0;   ///< configured per-LP budget (0 = off)
-  std::uint64_t pool_recycled_blocks = 0;  ///< allocations served by freelists
-  std::uint64_t pressure_enters = 0;       ///< Normal -> Throttle/Emergency edges
-  std::uint64_t pressure_exits = 0;        ///< edges back to Normal
-  std::uint64_t pressure_gvt_triggers = 0; ///< early GVT epochs forced by pressure
-  std::uint64_t sends_held = 0;            ///< cancelback-lite: sends deferred
-  std::uint64_t holds_annihilated = 0;     ///< held sends cancelled in place
 
   void merge(const LpStats& other);
 };
+
+#undef OTW_STATS_FIELD
 
 struct KernelStats {
   std::vector<ObjectStats> objects;  ///< indexed by ObjectId

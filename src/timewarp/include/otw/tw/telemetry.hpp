@@ -39,7 +39,6 @@ struct LpSample {
   VirtualTime gvt{};
   double aggregation_window_us = 0.0;
   std::uint64_t optimism_window = 0;  ///< 0 = unbounded
-  std::uint64_t events_in_transit_estimate = 0;
   std::uint64_t memory_bytes = 0;  ///< LP footprint at the sample
   std::uint8_t pressure = 0;       ///< PressureState (0 = Normal / no budget)
 };

@@ -22,6 +22,24 @@ std::uint64_t elapsed_ns(WallClock::time_point start) {
           .count());
 }
 
+/// The in-process engines' tail: harvest every LP and lay out the result.
+RunResult harvest_in_process(const Model& model, detail::Assembly& assembly,
+                             platform::EngineRunResult engine_result,
+                             WallClock::time_point start) {
+  const std::uint64_t wall_ns = elapsed_ns(start);
+  if (assembly.live != nullptr && assembly.live->hists() != nullptr) {
+    // In-process engines record straight into the registry bank; it
+    // reports as the single shard 0.
+    engine_result.hists = assembly.live->hists()->snapshot(0);
+  }
+  std::vector<detail::LpHarvest> lps;
+  lps.reserve(assembly.lps.size());
+  for (const auto& lp : assembly.lps) {
+    lps.push_back(detail::harvest(*lp));
+  }
+  return detail::build_result(model, std::move(lps), engine_result, wall_ns);
+}
+
 RunResult run_simulated_now_impl(const Model& model, const KernelConfig& config,
                                  const platform::SimulatedNowConfig& now_config) {
   const auto start = WallClock::now();
@@ -29,9 +47,8 @@ RunResult run_simulated_now_impl(const Model& model, const KernelConfig& config,
   detail::Assembly assembly =
       detail::assemble(model, config, &engine.config().costs);
   auto live_server = detail::start_live_server(config, assembly);
-  const platform::EngineRunResult engine_result = engine.run(assembly.runners);
   RunResult result =
-      detail::collect(model, assembly, engine_result, elapsed_ns(start));
+      harvest_in_process(model, assembly, engine.run(assembly.runners), start);
   detail::finish_live_server(live_server, result);
   return result;
 }
@@ -48,9 +65,8 @@ RunResult run_threaded_impl(const Model& model, const KernelConfig& config,
   }
   engine_config.live = assembly.live.get();
   platform::ThreadedEngine engine(engine_config);
-  const platform::EngineRunResult engine_result = engine.run(assembly.runners);
   RunResult result =
-      detail::collect(model, assembly, engine_result, elapsed_ns(start));
+      harvest_in_process(model, assembly, engine.run(assembly.runners), start);
   detail::finish_live_server(live_server, result);
   return result;
 }
@@ -135,70 +151,86 @@ Assembly assemble(const Model& model, const KernelConfig& config,
   return assembly;
 }
 
-RunResult collect(const Model& model, Assembly& assembly,
-                  const platform::EngineRunResult& engine_result,
-                  std::uint64_t wall_ns) {
-  RunResult result;
-  result.execution_time_ns = engine_result.execution_time_ns;
-  result.wall_time_ns = wall_ns;
-  result.physical_messages = engine_result.physical_messages;
-  result.wire_bytes = engine_result.wire_bytes;
-
-  result.scheduler = engine_result.scheduler;
-  result.dist = engine_result.dist;
-  result.hists = engine_result.hists;
-  result.shard_clocks = engine_result.shard_clocks;
-  if (result.hists.empty() && assembly.live != nullptr &&
-      assembly.live->hists() != nullptr) {
-    // In-process engines record straight into the registry bank; harvest it
-    // here as the single shard 0.
-    result.hists = assembly.live->hists()->snapshot(0);
+LpHarvest harvest(LogicalProcess& lp) {
+  OTW_REQUIRE_MSG(lp.done(), "harvesting an LP that has not finished");
+  LpHarvest h;
+  h.lp = lp.id();
+  h.gvt = lp.gvt();
+  h.stats = lp.snapshot_lp_stats();
+  obs::Recorder& recorder = lp.recorder();
+  if (recorder.tracing()) {
+    h.trace = recorder.drain_trace();
   }
-  result.stats.objects.resize(model.objects.size());
-  result.digests.resize(model.objects.size(), 0);
-  result.telemetry.objects.resize(model.objects.size());
-  for (const auto& lp : assembly.lps) {
-    OTW_REQUIRE_MSG(lp->done(), "engine returned before all LPs finished");
-    result.stats.lps.push_back(lp->snapshot_lp_stats());
-    result.stats.final_gvt = lp->gvt();
-    obs::Recorder& recorder = lp->recorder();
-    if (recorder.tracing()) {
-      result.trace.lps.push_back(recorder.drain_trace());
+  if (recorder.profiling()) {
+    h.phases = recorder.phase_totals();
+  }
+  h.samples = lp.trace();
+  for (const auto& runtime : lp.runtimes()) {
+    h.objects.push_back(LpHarvest::Object{runtime->self(),
+                                          runtime->state_digest(),
+                                          runtime->snapshot_stats(),
+                                          runtime->trace()});
+  }
+  return h;
+}
+
+RunResult build_result(const Model& model, std::vector<LpHarvest> lps,
+                       const platform::EngineRunResult& engine,
+                       std::uint64_t wall_ns) {
+  RunResult result;
+  result.execution_time_ns = engine.execution_time_ns;
+  result.wall_time_ns = wall_ns;
+  result.physical_messages = engine.physical_messages;
+  result.wire_bytes = engine.wire_bytes;
+  result.scheduler = engine.scheduler;
+  result.dist = engine.dist;
+  result.recoveries = engine.recoveries;
+  result.hists = engine.hists;
+  result.shard_clocks = engine.shard_clocks;
+
+  const std::size_t num_objects = model.objects.size();
+  result.stats.objects.resize(num_objects);
+  result.digests.resize(num_objects, 0);
+  result.telemetry.objects.resize(num_objects);
+  bool any_object_samples = false;
+  std::sort(lps.begin(), lps.end(),
+            [](const LpHarvest& a, const LpHarvest& b) { return a.lp < b.lp; });
+  for (LpId lp = 0; lp < lps.size(); ++lp) {
+    LpHarvest& h = lps[lp];
+    OTW_REQUIRE_MSG(h.lp == lp, "an LP was harvested twice or not at all");
+    result.stats.lps.push_back(h.stats);
+    result.stats.final_gvt = h.gvt;
+    if (h.trace.has_value()) {
+      result.trace.lps.push_back(std::move(*h.trace));
     }
-    if (recorder.profiling()) {
-      result.lp_phases.push_back(recorder.phase_totals());
+    if (h.phases.has_value()) {
+      result.lp_phases.push_back(*h.phases);
     }
-    if (!lp->trace().empty()) {
+    if (!h.samples.empty()) {
       LpTrace trace;
       trace.lp = static_cast<std::uint32_t>(result.telemetry.lps.size());
-      trace.samples = lp->trace();
+      trace.samples = std::move(h.samples);
       result.telemetry.lps.push_back(std::move(trace));
     }
-    for (const auto& runtime : lp->runtimes()) {
-      result.stats.objects[runtime->self()] = runtime->snapshot_stats();
-      result.digests[runtime->self()] = runtime->state_digest();
-      result.telemetry.objects[runtime->self()] =
-          ObjectTrace{runtime->self(), runtime->trace()};
+    for (LpHarvest::Object& object : h.objects) {
+      OTW_REQUIRE_MSG(object.id < num_objects, "harvest names an unknown object");
+      result.digests[object.id] = object.digest;
+      result.stats.objects[object.id] = object.stats;
+      any_object_samples = any_object_samples || !object.samples.empty();
+      result.telemetry.objects[object.id] =
+          ObjectTrace{object.id, std::move(object.samples)};
     }
   }
-  // Scheduler worker tracks ride in the same RunTrace, on track ids past the
-  // LP range. They must come AFTER the LP logs: the analysis module treats
-  // the first num_lps entries as the LPs (indexed by position).
-  const auto num_lps = static_cast<std::uint32_t>(assembly.lps.size());
-  for (const obs::LpTraceLog& log : engine_result.worker_traces) {
+  // Scheduler worker tracks and shard wire tracks ride in the same RunTrace,
+  // on track ids past the LP range.
+  const auto num_lps = static_cast<std::uint32_t>(lps.size());
+  for (const obs::LpTraceLog& log : engine.worker_traces) {
     obs::LpTraceLog shifted = log;
     shifted.lp = num_lps + log.lp;
     result.trace.lps.push_back(std::move(shifted));
   }
-
-  if (result.telemetry.lps.empty()) {
-    bool any = false;
-    for (const auto& trace : result.telemetry.objects) {
-      any = any || !trace.samples.empty();
-    }
-    if (!any) {
-      result.telemetry.objects.clear();
-    }
+  if (result.telemetry.lps.empty() && !any_object_samples) {
+    result.telemetry.objects.clear();
   }
   return result;
 }

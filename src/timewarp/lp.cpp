@@ -90,54 +90,22 @@ void LogicalProcess::publish_live() noexcept {
   using obs::live::Counter;
   using obs::live::Gauge;
   obs::live::LiveMetricsRegistry& live = *live_;
-  std::uint64_t processed = 0;
-  std::uint64_t committed = 0;
-  std::uint64_t rolled_back = 0;
-  std::uint64_t rollbacks = 0;
-  std::uint64_t anti_sent = 0;
-  std::uint64_t sent = 0;
-  std::uint32_t checkpoint_period = 0;
-  VirtualTime lvt = VirtualTime::infinity();
+  ObjectStats objects;
   for (const auto& runtime : runtimes_) {
-    const ObjectStats& s = runtime->stats();
-    processed += s.events_processed;
-    committed += s.events_committed;
-    rolled_back += s.events_rolled_back;
-    rollbacks += s.rollbacks;
-    anti_sent += s.anti_messages_sent;
-    sent += s.messages_sent;
-    checkpoint_period = std::max(checkpoint_period, runtime->checkpoint_interval());
-    lvt = min(lvt, runtime->next_event_time());
+    objects.merge(runtime->snapshot_stats());
   }
-  live.store_counter(id_, Counter::EventsProcessed, processed);
-  live.store_counter(id_, Counter::EventsCommitted, committed);
-  live.store_counter(id_, Counter::EventsRolledBack, rolled_back);
-  live.store_counter(id_, Counter::Rollbacks, rollbacks);
-  live.store_counter(id_, Counter::AntiMessagesSent, anti_sent);
-  live.store_counter(id_, Counter::MessagesSent, sent);
-  live.store_counter(id_, Counter::SendsHeld, stats_.sends_held);
-  live.store_counter(id_, Counter::PressureEnters, stats_.pressure_enters);
-  live.store_counter(id_, Counter::GvtEpochs, stats_.gvt_epochs);
-  live.store_gauge(id_, Gauge::LvtTicks,
-                   lvt.is_infinity() ? obs::live::kTicksInfinity : lvt.ticks());
-  live.store_gauge(id_, Gauge::MemoryBytes, memory_footprint().total());
-  live.store_gauge(id_, Gauge::MemoryBudgetBytes, stats_.memory_budget_bytes);
+  const LpStats lp = snapshot_lp_stats();
+#define OTW_PUBLISH_OBJECT(name) live.store_counter(id_, Counter::name, objects.name);
+#define OTW_PUBLISH_LP(name) live.store_counter(id_, Counter::name, lp.name);
+  OTW_OBJECT_COUNTERS(OTW_PUBLISH_OBJECT)
+  OTW_LP_COUNTERS(OTW_PUBLISH_LP)
+#undef OTW_PUBLISH_OBJECT
+#undef OTW_PUBLISH_LP
+  live.store_gauge(id_, Gauge::MemoryBytes, lp.memory.total());
+  live.store_gauge(id_, Gauge::MemoryBudgetBytes, lp.memory_budget_bytes);
   live.store_gauge(
       id_, Gauge::PressureState,
       pressure_ ? static_cast<std::uint64_t>(pressure_->state()) : 0);
-  std::uint64_t window = obs::live::kTicksInfinity;
-  switch (config_.optimism.mode) {
-    case KernelConfig::Optimism::Mode::Unbounded:
-      break;
-    case KernelConfig::Optimism::Mode::Static:
-      window = config_.optimism.window;
-      break;
-    case KernelConfig::Optimism::Mode::Adaptive:
-      window = optimism_ ? optimism_->window() : config_.optimism.window;
-      break;
-  }
-  live.store_gauge(id_, Gauge::OptimismWindowTicks, window);
-  live.store_gauge(id_, Gauge::CheckpointPeriod, checkpoint_period);
 }
 
 VirtualTime LogicalProcess::processing_bound() const noexcept {

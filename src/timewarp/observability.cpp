@@ -4,38 +4,6 @@
 
 namespace otw::tw {
 
-namespace {
-
-void add_object_totals(obs::MetricsSnapshot& snapshot, const ObjectStats& t) {
-  using obs::Metric;
-  snapshot.add("otw_events_processed_total", static_cast<double>(t.events_processed),
-               Metric::Type::Counter);
-  snapshot.add("otw_events_committed_total", static_cast<double>(t.events_committed),
-               Metric::Type::Counter);
-  snapshot.add("otw_events_rolled_back_total",
-               static_cast<double>(t.events_rolled_back), Metric::Type::Counter);
-  snapshot.add("otw_rollbacks_total", static_cast<double>(t.rollbacks),
-               Metric::Type::Counter);
-  snapshot.add("otw_coast_forward_events_total",
-               static_cast<double>(t.coast_forward_events), Metric::Type::Counter);
-  snapshot.add("otw_states_saved_total", static_cast<double>(t.states_saved),
-               Metric::Type::Counter);
-  snapshot.add("otw_state_restores_total", static_cast<double>(t.state_restores),
-               Metric::Type::Counter);
-  snapshot.add("otw_messages_sent_total", static_cast<double>(t.messages_sent),
-               Metric::Type::Counter);
-  snapshot.add("otw_anti_messages_sent_total",
-               static_cast<double>(t.anti_messages_sent), Metric::Type::Counter);
-  snapshot.add("otw_anti_messages_received_total",
-               static_cast<double>(t.anti_messages_received), Metric::Type::Counter);
-  snapshot.add("otw_stragglers_total", static_cast<double>(t.stragglers),
-               Metric::Type::Counter);
-  snapshot.add("otw_cancellation_switches_total",
-               static_cast<double>(t.cancellation_switches), Metric::Type::Counter);
-}
-
-}  // namespace
-
 obs::MetricsSnapshot build_metrics(const RunResult& result) {
   using obs::Metric;
   obs::MetricsSnapshot snapshot;
@@ -56,61 +24,43 @@ obs::MetricsSnapshot build_metrics(const RunResult& result) {
   snapshot.add("otw_committed_events_per_sec", result.committed_events_per_sec(),
                Metric::Type::Gauge);
 
-  add_object_totals(snapshot, result.stats.object_totals());
+  // Run totals of every object counter in the schema (otw/obs/counters.hpp).
+  const ObjectStats totals = result.stats.object_totals();
+#define OTW_RUN_TOTAL(name) \
+  snapshot.add("otw_" #name "_total", static_cast<double>(totals.name));
+  OTW_OBJECT_COUNTERS(OTW_RUN_TOTAL)
+#undef OTW_RUN_TOTAL
 
   // Memory governance: live footprint at collection, sum of per-LP peaks
   // (upper bound on the true global peak), and pressure-controller activity.
-  {
-    const MemoryStats mem = result.stats.memory_totals();
-    std::uint64_t budget = 0;
-    std::uint64_t enters = 0;
-    std::uint64_t held = 0;
-    for (const LpStats& s : result.stats.lps) {
-      budget += s.memory_budget_bytes;
-      enters += s.pressure_enters;
-      held += s.sends_held;
-    }
-    snapshot.add("otw_memory_live_bytes", static_cast<double>(mem.total()),
-                 Metric::Type::Gauge);
-    snapshot.add("otw_memory_peak_bytes",
-                 static_cast<double>(result.stats.memory_peak_bytes()),
-                 Metric::Type::Gauge);
-    snapshot.add("otw_memory_budget_bytes", static_cast<double>(budget),
-                 Metric::Type::Gauge);
-    snapshot.add("otw_memory_pool_slab_bytes",
-                 static_cast<double>(mem.pool_slab_bytes), Metric::Type::Gauge);
-    snapshot.add("otw_memory_pressure_enters_total", static_cast<double>(enters),
-                 Metric::Type::Counter);
-    snapshot.add("otw_memory_sends_held_total", static_cast<double>(held),
-                 Metric::Type::Counter);
-  }
+  const LpStats lp_totals = result.stats.lp_totals();
+  snapshot.add("otw_memory_live_bytes",
+               static_cast<double>(lp_totals.memory.total()), Metric::Type::Gauge);
+  snapshot.add("otw_memory_peak_bytes",
+               static_cast<double>(lp_totals.memory_peak_bytes),
+               Metric::Type::Gauge);
+  snapshot.add("otw_memory_budget_bytes",
+               static_cast<double>(lp_totals.memory_budget_bytes),
+               Metric::Type::Gauge);
+  snapshot.add("otw_memory_pool_slab_bytes",
+               static_cast<double>(lp_totals.memory.pool_slab_bytes),
+               Metric::Type::Gauge);
+  snapshot.add("otw_memory_pressure_enters_total",
+               static_cast<double>(lp_totals.pressure_enters));
+  snapshot.add("otw_memory_sends_held_total",
+               static_cast<double>(lp_totals.sends_held));
 
+  // Per-LP series: every LP counter in the schema, plus the footprint.
   for (std::size_t lp = 0; lp < result.stats.lps.size(); ++lp) {
     const LpStats& s = result.stats.lps[lp];
-    const std::pair<std::string, std::string> label{"lp", std::to_string(lp)};
+    const std::string id = std::to_string(lp);
     auto add = [&](const char* name, double value, Metric::Type type) {
-      Metric metric;
-      metric.name = name;
-      metric.labels.push_back(label);
-      metric.value = value;
-      metric.type = type;
-      snapshot.metrics.push_back(std::move(metric));
+      snapshot.add(name, value, type).labels.emplace_back("lp", id);
     };
-    add("otw_lp_gvt_epochs_total", static_cast<double>(s.gvt_epochs),
-        Metric::Type::Counter);
-    add("otw_lp_gvt_rounds_total", static_cast<double>(s.gvt_rounds),
-        Metric::Type::Counter);
-    add("otw_lp_events_sent_remote_total", static_cast<double>(s.events_sent_remote),
-        Metric::Type::Counter);
-    add("otw_lp_events_sent_local_total", static_cast<double>(s.events_sent_local),
-        Metric::Type::Counter);
-    add("otw_lp_aggregates_sent_total", static_cast<double>(s.aggregates_sent),
-        Metric::Type::Counter);
-    add("otw_lp_messages_aggregated_total",
-        static_cast<double>(s.messages_aggregated), Metric::Type::Counter);
-    add("otw_lp_steps_total", static_cast<double>(s.steps), Metric::Type::Counter);
-    add("otw_lp_idle_polls_total", static_cast<double>(s.idle_polls),
-        Metric::Type::Counter);
+#define OTW_LP_SERIES(name) \
+  add("otw_lp_" #name "_total", static_cast<double>(s.name), Metric::Type::Counter);
+    OTW_LP_COUNTERS(OTW_LP_SERIES)
+#undef OTW_LP_SERIES
     add("otw_lp_memory_live_bytes", static_cast<double>(s.memory.total()),
         Metric::Type::Gauge);
     add("otw_lp_memory_peak_bytes", static_cast<double>(s.memory_peak_bytes),
@@ -130,15 +80,9 @@ obs::MetricsSnapshot build_metrics(const RunResult& result) {
                  Metric::Type::Counter);
     for (std::size_t w = 0; w < result.scheduler.workers.size(); ++w) {
       const platform::WorkerStats& s = result.scheduler.workers[w];
-      const std::pair<std::string, std::string> label{"worker",
-                                                      std::to_string(w)};
+      const std::string id = std::to_string(w);
       auto add = [&](const char* name, double value) {
-        Metric metric;
-        metric.name = name;
-        metric.labels.push_back(label);
-        metric.value = value;
-        metric.type = Metric::Type::Counter;
-        snapshot.metrics.push_back(std::move(metric));
+        snapshot.add(name, value).labels.emplace_back("worker", id);
       };
       add("otw_worker_steps_total", static_cast<double>(s.steps));
       add("otw_worker_steals_total", static_cast<double>(s.steals));

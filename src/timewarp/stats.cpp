@@ -37,47 +37,22 @@ void MemoryStats::add(const MemoryStats& other) noexcept {
   checkpoints += other.checkpoints;
 }
 
+#define OTW_STATS_SUM(name) name += other.name;
+
 void ObjectStats::merge(const ObjectStats& other) {
-  events_processed += other.events_processed;
-  events_committed += other.events_committed;
-  events_rolled_back += other.events_rolled_back;
-  rollbacks += other.rollbacks;
-  coast_forward_events += other.coast_forward_events;
-  states_saved += other.states_saved;
-  state_restores += other.state_restores;
-  messages_sent += other.messages_sent;
-  anti_messages_sent += other.anti_messages_sent;
-  anti_messages_received += other.anti_messages_received;
-  stragglers += other.stragglers;
-  lazy_hits += other.lazy_hits;
-  lazy_misses += other.lazy_misses;
-  passive_hits += other.passive_hits;
-  passive_misses += other.passive_misses;
-  cancellation_switches += other.cancellation_switches;
-  checkpoint_control_ticks += other.checkpoint_control_ticks;
+  OTW_OBJECT_COUNTERS(OTW_STATS_SUM)
 }
 
 void LpStats::merge(const LpStats& other) {
-  gvt_epochs += other.gvt_epochs;
-  gvt_rounds += other.gvt_rounds;
-  events_sent_remote += other.events_sent_remote;
-  events_sent_local += other.events_sent_local;
-  aggregates_sent += other.aggregates_sent;
-  messages_aggregated += other.messages_aggregated;
+  OTW_LP_COUNTERS(OTW_STATS_SUM)
   aggregate_size.merge(other.aggregate_size);
   aggregation_window_us.merge(other.aggregation_window_us);
-  steps += other.steps;
-  idle_polls += other.idle_polls;
   memory.add(other.memory);
   memory_peak_bytes += other.memory_peak_bytes;
   memory_budget_bytes += other.memory_budget_bytes;
-  pool_recycled_blocks += other.pool_recycled_blocks;
-  pressure_enters += other.pressure_enters;
-  pressure_exits += other.pressure_exits;
-  pressure_gvt_triggers += other.pressure_gvt_triggers;
-  sends_held += other.sends_held;
-  holds_annihilated += other.holds_annihilated;
 }
+
+#undef OTW_STATS_SUM
 
 ObjectStats KernelStats::object_totals() const {
   ObjectStats total;

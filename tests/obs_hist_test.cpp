@@ -1,6 +1,6 @@
 // Latency attribution plane unit tests: log2 bucket math, lock-free
-// histogram snapshots, the per-shard Bank, the OTWL v2 codec (and its v1
-// compatibility path), Prometheus histogram exposition, and the black-box
+// histogram snapshots, the per-shard Bank, the OTWL codec's histogram
+// section, Prometheus histogram exposition, and the black-box
 // flight recorder's dump/render cycle. Suites are named Hist*/Flight* on
 // purpose: the tsan-stress lane picks them up (nothing here forks).
 #include <gtest/gtest.h>
@@ -144,29 +144,6 @@ TEST(HistCodec, V2RoundTripsHistogramSection) {
   EXPECT_EQ(out.hists[0].hist.sum, 10'100u);
   EXPECT_EQ(out.hists[0].hist.buckets, snap.hists[0].hist.buckets);
   EXPECT_EQ(out.hists[1].seam, Seam::GvtRound);
-}
-
-TEST(HistCodec, AcceptsVersion1PayloadsWithoutHistSection) {
-  // Hand-build a v1 payload: same layout, version word 1, no hist section.
-  const live::LiveSnapshot snap = snapshot_with_hists();
-  std::vector<std::uint8_t> wire;
-  live::encode_snapshot(snap, wire);
-  // Truncate the hist section (the final n_hists-prefixed block) and patch
-  // the version word down to 1. n_hists sits right after the LP section;
-  // easiest robust construction: re-encode with hists cleared, then patch.
-  live::LiveSnapshot v1 = snap;
-  v1.hists.clear();
-  live::encode_snapshot(v1, wire);
-  ASSERT_GE(wire.size(), 12u);
-  wire[4] = 1;  // version u32 LE -> 1
-  wire[5] = wire[6] = wire[7] = 0;
-  wire.resize(wire.size() - 4);  // drop the trailing n_hists = 0 word
-
-  live::LiveSnapshot out;
-  ASSERT_TRUE(live::decode_snapshot(wire.data(), wire.size(), out));
-  EXPECT_EQ(out.shard, 3u);
-  EXPECT_EQ(out.gvt_ticks, 42u);
-  EXPECT_TRUE(out.hists.empty());
 }
 
 TEST(HistCodec, RejectsOutOfRangeSeam) {

@@ -32,11 +32,11 @@ LiveSnapshot make_snapshot(std::uint32_t shard, std::uint64_t wall_ns,
   snap.gvt_ticks = gvt;
   snap.lps.resize(1);
   snap.lps[0].lp = 0;
-  snap.lps[0].counters[static_cast<std::size_t>(Counter::EventsProcessed)] =
+  snap.lps[0].counters[static_cast<std::size_t>(Counter::events_processed)] =
       processed;
-  snap.lps[0].counters[static_cast<std::size_t>(Counter::EventsCommitted)] =
+  snap.lps[0].counters[static_cast<std::size_t>(Counter::events_committed)] =
       committed;
-  snap.lps[0].counters[static_cast<std::size_t>(Counter::EventsRolledBack)] =
+  snap.lps[0].counters[static_cast<std::size_t>(Counter::events_rolled_back)] =
       rolled_back;
   return snap;
 }
@@ -46,9 +46,9 @@ TEST(LiveRegistry, StoresAndSnapshotsPerLpSlots) {
     GTEST_SKIP() << "live plane compiled out";
   }
   live::LiveMetricsRegistry reg(3);
-  reg.store_counter(0, Counter::EventsCommitted, 41);
-  reg.store_counter(0, Counter::EventsCommitted, 42);  // absolute, last wins
-  reg.store_counter(2, Counter::Rollbacks, 7);
+  reg.store_counter(0, Counter::events_committed, 41);
+  reg.store_counter(0, Counter::events_committed, 42);  // absolute, last wins
+  reg.store_counter(2, Counter::rollbacks, 7);
   reg.store_gauge(1, Gauge::MemoryBytes, 1024);
   reg.store_gvt(99);
   reg.engine_add(EngineGauge::MailboxOccupancy, +3);
@@ -59,11 +59,11 @@ TEST(LiveRegistry, StoresAndSnapshotsPerLpSlots) {
   EXPECT_EQ(snap.wall_ns, 1234u);
   EXPECT_EQ(snap.gvt_ticks, 99u);
   ASSERT_EQ(snap.lps.size(), 3u);
-  EXPECT_EQ(snap.lps[0].counter(Counter::EventsCommitted), 42u);
-  EXPECT_EQ(snap.lps[2].counter(Counter::Rollbacks), 7u);
+  EXPECT_EQ(snap.lps[0].counter(Counter::events_committed), 42u);
+  EXPECT_EQ(snap.lps[2].counter(Counter::rollbacks), 7u);
   EXPECT_EQ(snap.lps[1].gauge(Gauge::MemoryBytes), 1024u);
   EXPECT_EQ(snap.engine_gauge(EngineGauge::MailboxOccupancy), 2u);
-  EXPECT_EQ(snap.total(Counter::EventsCommitted), 42u);
+  EXPECT_EQ(snap.total(Counter::events_committed), 42u);
 }
 
 TEST(LiveRegistry, FreshRegistryReportsInfiniteGvt) {
@@ -76,7 +76,7 @@ TEST(LiveRegistry, FreshRegistryReportsInfiniteGvt) {
 
 TEST(LiveCodec, RoundTripsEverySlot) {
   LiveSnapshot snap = make_snapshot(3, 777, 100, 50, 40, 10);
-  snap.lps[0].gauges[static_cast<std::size_t>(Gauge::LvtTicks)] = 123;
+  snap.lps[0].gauges[static_cast<std::size_t>(Gauge::LastRollbackDepth)] = 123;
   snap.lps[0].gauges[static_cast<std::size_t>(Gauge::PressureState)] = 2;
   snap.engine[static_cast<std::size_t>(EngineGauge::WorkersParked)] = 4;
   snap.lps.push_back(snap.lps[0]);

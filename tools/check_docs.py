@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Documentation lint for the otw repository.
 
-Two checks, both zero-dependency (stdlib only), run by CI's docs-check job:
+Zero-dependency checks (stdlib only), run by CI's docs-check job:
 
 1. Markdown link integrity. Every ``[text](target)`` in every tracked
    ``*.md`` file is resolved: relative paths must exist on disk, and
@@ -10,45 +10,35 @@ Two checks, both zero-dependency (stdlib only), run by CI's docs-check job:
    stripped, spaces to hyphens, ``-1``/``-2`` suffixes for duplicates).
    External schemes (http/https/mailto) are not fetched.
 
-2. TraceKind drift guard. The observability docs promise that DESIGN.md
-   section 5b documents the full trace schema; this check parses the
-   ``TraceKind`` enumerators out of ``src/obs/include/otw/obs/trace.hpp``
-   and fails if any enumerator is missing from that section, so adding a
-   trace kind without documenting it breaks CI.
+2. Name drift guards, one table (``NAME_GUARDS``): every name a source
+   file lists must appear backticked in the DESIGN.md section that
+   documents it, so adding one without documenting it breaks CI:
 
-3. HealthRule drift guard. Same discipline for the live plane: the
-   ``HealthRule`` enumerators in ``src/obs/include/otw/obs/live.hpp`` must
-   all appear (backticked) in DESIGN.md section 9's watchdog rule table.
+   * ``TraceKind`` enumerators (``obs/trace.hpp``) in section 5b's trace
+     schema table;
+   * the counter schema's entries (``obs/counters.hpp``, the
+     ``OTW_OBJECT_COUNTERS``/``OTW_LP_COUNTERS`` lists) in section 9;
+   * ``HealthRule`` enumerators (``obs/live.hpp``) in section 9's watchdog
+     rule table;
+   * latency-attribution ``Seam`` enumerators (``obs/hist.hpp``) in
+     section 10's seam table;
+   * ``QueueKind`` enumerators (``tw/pending_set.hpp``) in section 10b's
+     pending-event-set tables;
+   * MIGRATE frame fields (``kMigrateFrameFields`` in
+     ``platform/wire.hpp``) in section 8b's frame layout;
+   * snapshot container fields (``kSnapshotManifestFields`` in
+     ``platform/wire.hpp``, the ``OTWSNAP1`` file layout) in section 8c.
 
-4. Seam drift guard. The latency-attribution ``Seam`` enumerators in
-   ``src/obs/include/otw/obs/hist.hpp`` must all appear (backticked) in
-   DESIGN.md section 10's seam table.
-
-5. Flight schema drift guard. Every JSON key ``src/obs/flight.cpp``
+3. Flight schema drift guard. Every JSON key ``src/obs/flight.cpp``
    actually emits (the ``\"key\":`` literals) must appear in DESIGN.md
    section 10's dump-schema listing, so the documented ``otw-flight-v1``
    schema cannot silently drift from the writer.
 
-6. QueueKind drift guard. The ``QueueKind`` enumerators in
-   ``src/timewarp/include/otw/tw/pending_set.hpp`` must all appear
-   (backticked) in DESIGN.md section 10b's pending-event-set tables, so a
-   new racing implementation cannot ship undocumented.
-
-7. Control-frame tag drift guard. Every transport-reserved wire tag
+4. Control-frame tag drift guard. Every transport-reserved wire tag
    (``kTag*`` constants >= 0xFF00 in
    ``src/platform/include/otw/platform/wire.hpp``) must appear in DESIGN.md
    section 8b's tag table with both its name and its hex value, so a new
    control frame cannot ship without a documented slot in the protocol.
-
-8. MIGRATE frame schema drift guard. Every field name in wire.hpp's
-   ``kMigrateFrameFields`` listing must appear (backticked) in DESIGN.md
-   section 8b's frame-layout description, keeping the documented wire
-   order in lockstep with the serializer.
-
-9. Snapshot container schema drift guard. Every field name in wire.hpp's
-   ``kSnapshotManifestFields`` listing (the ``OTWSNAP1`` file layout
-   written by ``tw::snapshot`` and the coordinator's spill path) must
-   appear (backticked) in DESIGN.md section 8c's container description.
 
 Usage: ``python3 tools/check_docs.py`` from the repository root (or any
 subdirectory; the root is located from this file's path). Exit 0 = clean.
@@ -61,6 +51,8 @@ from pathlib import Path
 REPO_ROOT = Path(__file__).resolve().parent.parent
 TRACE_HEADER = REPO_ROOT / "src" / "obs" / "include" / "otw" / "obs" / "trace.hpp"
 LIVE_HEADER = REPO_ROOT / "src" / "obs" / "include" / "otw" / "obs" / "live.hpp"
+COUNTERS_HEADER = (REPO_ROOT / "src" / "obs" / "include" / "otw" / "obs"
+                   / "counters.hpp")
 HIST_HEADER = REPO_ROOT / "src" / "obs" / "include" / "otw" / "obs" / "hist.hpp"
 FLIGHT_SOURCE = REPO_ROOT / "src" / "obs" / "flight.cpp"
 PENDING_HEADER = (REPO_ROOT / "src" / "timewarp" / "include" / "otw" / "tw"
@@ -183,11 +175,6 @@ def enum_members(header: Path, enum_name: str):
     return members
 
 
-def trace_kinds():
-    """Enumerator names of otw::obs::TraceKind, in declaration order."""
-    return enum_members(TRACE_HEADER, "TraceKind")
-
-
 def design_section(label: str, what: str):
     """The text of DESIGN.md from a ``## <label>`` heading to the next ##."""
     lines = DESIGN.read_text(encoding="utf-8").splitlines()
@@ -204,50 +191,6 @@ def design_section(label: str, what: str):
             end = i
             break
     return "\n".join(lines[start:end])
-
-
-def check_trace_drift():
-    errors = []
-    section = design_section("5b", "trace schema")
-    for kind in trace_kinds():
-        if not re.search(rf"`{re.escape(kind)}`", section):
-            errors.append(f"DESIGN.md: TraceKind::{kind} exists in "
-                          f"trace.hpp but is not documented in the "
-                          f"section 5b schema table")
-    return errors
-
-
-def check_health_rule_drift():
-    errors = []
-    section = design_section("9", "live introspection plane")
-    for rule in enum_members(LIVE_HEADER, "HealthRule"):
-        if not re.search(rf"`{re.escape(rule)}`", section):
-            errors.append(f"DESIGN.md: HealthRule::{rule} exists in "
-                          f"live.hpp but is not documented in the "
-                          f"section 9 watchdog rule table")
-    return errors
-
-
-def check_seam_drift():
-    errors = []
-    section = design_section("10", "latency attribution plane")
-    for seam in enum_members(HIST_HEADER, "Seam"):
-        if not re.search(rf"`{re.escape(seam)}`", section):
-            errors.append(f"DESIGN.md: Seam::{seam} exists in hist.hpp "
-                          f"but is not documented in the section 10 seam "
-                          f"table")
-    return errors
-
-
-def check_queue_kind_drift():
-    errors = []
-    section = design_section("10b", "pluggable pending-event sets")
-    for kind in enum_members(PENDING_HEADER, "QueueKind"):
-        if not re.search(rf"`{re.escape(kind)}`", section):
-            errors.append(f"DESIGN.md: QueueKind::{kind} exists in "
-                          f"pending_set.hpp but is not documented in the "
-                          f"section 10b implementation table")
-    return errors
 
 
 def control_tags():
@@ -280,53 +223,53 @@ def check_control_tag_drift():
     return errors
 
 
-def migrate_frame_fields():
-    """Field names of the MIGRATE frame payload, from wire.hpp's
-    ``kMigrateFrameFields`` initializer, in wire order."""
-    text = WIRE_HEADER.read_text(encoding="utf-8")
-    m = re.search(r"kMigrateFrameFields\[\]\s*=\s*\{(.*?)\};", text, re.S)
-    if not m:
-        sys.exit(f"error: could not find kMigrateFrameFields in {WIRE_HEADER}")
-    fields = re.findall(r'"([^"]+)"', m.group(1))
-    if not fields:
-        sys.exit(f"error: kMigrateFrameFields in {WIRE_HEADER} is empty")
-    return fields
+def initializer_names(header: Path, array: str):
+    """The string literals of a ``const char* <array>[] = {...}`` listing."""
+    text = header.read_text(encoding="utf-8")
+    m = re.search(rf"{array}\[\]\s*=\s*\{{(.*?)\}};", text, re.S)
+    names = re.findall(r'"([^"]+)"', m.group(1)) if m else []
+    if not names:
+        sys.exit(f"error: could not find a non-empty {array} in {header}")
+    return names
 
 
-def check_migrate_schema_drift():
+def schema_counters():
+    """Every counter of the schema's X-macro lists, in declaration order."""
+    names = re.findall(r"^\s*X\((\w+)\)",
+                       COUNTERS_HEADER.read_text(encoding="utf-8"), re.M)
+    if not names:
+        sys.exit(f"error: no X(name) counter entries in {COUNTERS_HEADER}")
+    return names
+
+
+# (what, names, DESIGN.md section, where in it): each name must appear
+# backticked in that section.
+NAME_GUARDS = [
+    ("TraceKind", lambda: enum_members(TRACE_HEADER, "TraceKind"), "5b",
+     "trace schema table"),
+    ("schema counter", schema_counters, "9", "counter schema listing"),
+    ("HealthRule", lambda: enum_members(LIVE_HEADER, "HealthRule"), "9",
+     "watchdog rule table"),
+    ("Seam", lambda: enum_members(HIST_HEADER, "Seam"), "10", "seam table"),
+    ("QueueKind", lambda: enum_members(PENDING_HEADER, "QueueKind"), "10b",
+     "implementation table"),
+    ("MIGRATE frame field",
+     lambda: initializer_names(WIRE_HEADER, "kMigrateFrameFields"), "8b",
+     "frame layout"),
+    ("snapshot container field",
+     lambda: initializer_names(WIRE_HEADER, "kSnapshotManifestFields"), "8c",
+     "container layout"),
+]
+
+
+def check_name_drift():
     errors = []
-    section = design_section("8b", "mesh data plane")
-    for field in migrate_frame_fields():
-        if not re.search(rf"`{re.escape(field)}`", section):
-            errors.append(f"DESIGN.md: MIGRATE frame field '{field}' is "
-                          f"listed in wire.hpp's kMigrateFrameFields but "
-                          f"section 8b's frame layout does not mention it")
-    return errors
-
-
-def snapshot_manifest_fields():
-    """Field names of the OTWSNAP1 snapshot container, from wire.hpp's
-    ``kSnapshotManifestFields`` initializer, in file order."""
-    text = WIRE_HEADER.read_text(encoding="utf-8")
-    m = re.search(r"kSnapshotManifestFields\[\]\s*=\s*\{(.*?)\};", text, re.S)
-    if not m:
-        sys.exit(f"error: could not find kSnapshotManifestFields in "
-                 f"{WIRE_HEADER}")
-    fields = re.findall(r'"([^"]+)"', m.group(1))
-    if not fields:
-        sys.exit(f"error: kSnapshotManifestFields in {WIRE_HEADER} is empty")
-    return fields
-
-
-def check_snapshot_schema_drift():
-    errors = []
-    section = design_section("8c", "checkpoint/restart plane")
-    for field in snapshot_manifest_fields():
-        if not re.search(rf"`{re.escape(field)}`", section):
-            errors.append(f"DESIGN.md: snapshot container field '{field}' "
-                          f"is listed in wire.hpp's kSnapshotManifestFields "
-                          f"but section 8c's container layout does not "
-                          f"mention it")
+    for what, names, label, where in NAME_GUARDS:
+        section = design_section(label, where)
+        for name in names():
+            if not re.search(rf"`{re.escape(name)}`", section):
+                errors.append(f"DESIGN.md: {what} '{name}' is not documented "
+                              f"in section {label}'s {where}")
     return errors
 
 
@@ -352,10 +295,8 @@ def check_flight_schema_drift():
 
 
 def main():
-    errors = (check_links() + check_trace_drift() + check_health_rule_drift()
-              + check_seam_drift() + check_flight_schema_drift()
-              + check_queue_kind_drift() + check_control_tag_drift()
-              + check_migrate_schema_drift() + check_snapshot_schema_drift())
+    errors = (check_links() + check_name_drift() + check_flight_schema_drift()
+              + check_control_tag_drift())
     n_md = sum(1 for _ in markdown_files())
     if errors:
         for e in errors:
@@ -363,24 +304,12 @@ def main():
         print(f"\ncheck_docs: FAIL ({len(errors)} error(s) across "
               f"{n_md} markdown files)", file=sys.stderr)
         return 1
-    kinds = trace_kinds()
-    rules = enum_members(LIVE_HEADER, "HealthRule")
-    seams = enum_members(HIST_HEADER, "Seam")
-    keys = flight_schema_keys()
-    queue_kinds = enum_members(PENDING_HEADER, "QueueKind")
-    tags = control_tags()
-    migrate_fields = migrate_frame_fields()
-    snap_fields = snapshot_manifest_fields()
+    guarded = ", ".join(f"{len(names())} {what} names (section {label})"
+                        for what, names, label, _ in NAME_GUARDS)
     print(f"check_docs: OK — {n_md} markdown files, links and anchors "
-          f"resolve, all {len(kinds)} TraceKind enumerators documented "
-          f"in DESIGN.md section 5b, all {len(tags)} control-frame tags "
-          f"and {len(migrate_fields)} MIGRATE frame fields documented in "
-          f"section 8b, all {len(snap_fields)} snapshot container fields "
-          f"documented in section 8c, all {len(rules)} HealthRule "
-          f"enumerators documented in section 9, all {len(seams)} Seam "
-          f"enumerators and {len(keys)} flight schema keys documented "
-          f"in section 10, all {len(queue_kinds)} QueueKind enumerators "
-          f"documented in section 10b")
+          f"resolve; documented: {guarded}, "
+          f"{len(control_tags())} control-frame tags (section 8b), "
+          f"{len(flight_schema_keys())} flight schema keys (section 10)")
     return 0
 
 
