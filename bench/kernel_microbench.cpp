@@ -8,7 +8,7 @@
 
 #include "otw/apps/phold.hpp"
 #include "otw/tw/kernel.hpp"
-#include "otw/tw/queues.hpp"
+#include "otw/tw/pending_set.hpp"
 #include "otw/util/rng.hpp"
 
 namespace {
@@ -47,14 +47,14 @@ void BM_InputQueueInsertAdvance(benchmark::State& state) {
   std::uint64_t n = 0;
   for (auto _ : state) {
     state.PauseTiming();
-    tw::InputQueue q;
+    const auto q = tw::make_pending_set(tw::QueueKind::Multiset);
     util::Xoshiro256 rng(7);
     state.ResumeTiming();
     for (std::uint64_t i = 0; i < depth; ++i) {
-      q.insert(make_event(rng.next_below(1'000'000), n++));
+      q->insert(make_event(rng.next_below(1'000'000), n++));
     }
-    while (q.peek_next() != nullptr) {
-      benchmark::DoNotOptimize(q.advance());
+    while (q->peek_next() != nullptr) {
+      benchmark::DoNotOptimize(q->advance());
     }
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *

@@ -10,6 +10,7 @@
 #include <csignal>
 #include <cstdio>
 #include <cstring>
+#include <ctime>
 #include <deque>
 #include <exception>
 #include <limits>
@@ -19,6 +20,7 @@
 #include <type_traits>
 
 #include "otw/obs/live.hpp"
+#include "otw/platform/frame_stream.hpp"
 #include "otw/platform/snapshot_file.hpp"
 #include "otw/platform/wire.hpp"
 #include "otw/util/assert.hpp"
@@ -52,11 +54,18 @@ constexpr int kFaultPollCapMs = 25;
 /// improves on a lower-RTT sample, so pinging faster than this is waste.
 constexpr std::uint64_t kTimePingMinGapNs = 50'000'000;
 
-/// FrameHeader.flags bit for control-plane frames (EngineMessage::wire_control).
+/// Longest a fully idle worker sleeps before rechecking its local wakeups.
+constexpr std::uint64_t kIdleWaitNs = 500'000;
+
+/// Safety valve: a worker aborts after this many LP step() invocations.
+constexpr std::uint64_t kMaxSteps = 2'000'000'000;
+
+/// FrameHeader.flags bit for control-plane frames (EngineMessage::wire_control
+/// and every transport control frame).
 constexpr std::uint16_t kFlagControl = 0x0001;
 
 // POSIX plumbing lives in util::net (shared with the obs::live endpoint);
-// these shims pin the error-message prefix for this transport.
+// this prefix pins the error messages of this transport.
 const std::string kNetCtx = "DistributedEngine";
 
 using util::net::mono_ns;
@@ -65,91 +74,37 @@ using util::net::mono_ns;
   util::net::throw_errno(kNetCtx, what);
 }
 
-void set_nonblocking(int fd) { util::net::set_nonblocking(fd, kNetCtx); }
-
-void set_nodelay(int fd) {
-  // Nagle would serialize the latency the aggregation layer is measuring;
-  // batching is DyMA's job, not the kernel's.
+/// Connects to a loopback listener. Nagle is off: it would serialize the
+/// latency the aggregation layer is measuring, and batching is DyMA's job.
+FrameStream connect_stream(std::uint16_t port) {
+  const int fd = util::net::connect_loopback(port, kNetCtx);
   util::net::set_nodelay(fd, kNetCtx);
+  return FrameStream(fd);
 }
 
-void write_all(int fd, const std::uint8_t* data, std::size_t len) {
-  util::net::write_all(fd, data, len, kNetCtx);
-}
-
-bool read_exact(int fd, std::uint8_t* data, std::size_t len) {
-  return util::net::read_exact(fd, data, len, kNetCtx);
-}
-
-void send_frame(int fd, const FrameHeader& header, const std::uint8_t* payload) {
-  std::uint8_t raw[kFrameHeaderBytes];
-  encode_frame_header(header, raw);
-  write_all(fd, raw, kFrameHeaderBytes);
-  if (header.payload_len > 0) {
-    write_all(fd, payload, header.payload_len);
+/// Accepts one connection on a loopback listener (blocking).
+FrameStream accept_stream(int listen_fd) {
+  int fd = -1;
+  do {
+    fd = ::accept(listen_fd, nullptr, nullptr);
+  } while (fd < 0 && errno == EINTR);
+  if (fd < 0) {
+    throw_errno("accept");
   }
+  util::net::set_nodelay(fd, kNetCtx);
+  return FrameStream(fd);
 }
 
-/// Appends a framed message to an outbound byte queue (for links flushed
-/// non-blockingly: two peers writing to each other with blocking sockets
-/// and full kernel buffers would deadlock; queued writes never block).
-void queue_frame(std::vector<std::uint8_t>& out, const FrameHeader& header,
-                 const std::uint8_t* payload) {
-  std::uint8_t raw[kFrameHeaderBytes];
-  encode_frame_header(header, raw);
-  out.insert(out.end(), raw, raw + kFrameHeaderBytes);
-  if (header.payload_len > 0) {
-    out.insert(out.end(), payload, payload + header.payload_len);
-  }
-}
-
-/// Writes as much queued output as the socket accepts without blocking;
-/// POLLOUT resumes the rest.
-void flush_out(int fd, std::vector<std::uint8_t>& out, std::size_t& out_pos,
-               const char* what) {
-  while (out_pos < out.size()) {
-    const ssize_t n = ::send(fd, out.data() + out_pos, out.size() - out_pos,
-                             MSG_NOSIGNAL);
-    if (n > 0) {
-      out_pos += static_cast<std::size_t>(n);
-      continue;
-    }
-    if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) {
-      return;  // kernel buffer full; POLLOUT will resume
-    }
-    if (n < 0 && errno == EINTR) {
-      continue;
-    }
-    throw_errno(what);
-  }
-  out.clear();
-  out_pos = 0;
-}
-
-/// flush_out, but a counterpart that died mid-write (its process was
-/// SIGKILLed) reports failure instead of throwing: under fault tolerance the
-/// link is torn down and re-dialed at recovery. Returns false on a broken
-/// link; queued bytes stay put (they are discarded with the incarnation).
-[[nodiscard]] bool flush_out_tolerant(int fd, std::vector<std::uint8_t>& out,
-                                      std::size_t& out_pos) {
-  while (out_pos < out.size()) {
-    const ssize_t n = ::send(fd, out.data() + out_pos, out.size() - out_pos,
-                             MSG_NOSIGNAL);
-    if (n > 0) {
-      out_pos += static_cast<std::size_t>(n);
-      continue;
-    }
-    if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) {
-      return true;
-    }
-    if (n < 0 && errno == EINTR) {
-      continue;
-    }
-    return false;  // EPIPE / ECONNRESET / ...: the counterpart is gone
-  }
-  out.clear();
-  out_pos = 0;
-  return true;
+/// Dials a peer's mesh listener and identifies this shard with the link's
+/// first frame, PEER-HELLO (src_lp = shard). A fresh socket always takes
+/// the 24 bytes, so the blocking send never waits.
+FrameStream dial_peer(std::uint16_t port, std::uint32_t shard) {
+  FrameStream link = connect_stream(port);
+  FrameHeader hello;
+  hello.tag = kTagPeerHello;
+  hello.src_lp = shard;
+  link.send(hello, nullptr);
+  return link;
 }
 
 // ---------------------------------------------------------------------------
@@ -168,19 +123,6 @@ struct ShardLp {
   std::deque<std::unique_ptr<EngineMessage>> inbox;
 };
 
-/// One direct worker-to-worker TCP stream (peer link). Output is queued
-/// and flushed non-blockingly; input bytes accumulate until whole frames
-/// parse out. One stream per ordered pair is exactly the per-(src,dst) FIFO
-/// the kernel's non-overtaking contract needs.
-struct PeerLink {
-  int fd = -1;
-  std::vector<std::uint8_t> in;
-  std::vector<std::uint8_t> out;
-  std::size_t out_pos = 0;
-
-  [[nodiscard]] bool out_pending() const noexcept { return out_pos < out.size(); }
-};
-
 /// Everything one worker process accumulates and ships home in its RESULT,
 /// as one raw record (fork guarantees coordinator and workers share the
 /// layout). Workers only set the transport counters of `dist`, so the
@@ -196,8 +138,8 @@ static_assert(std::is_trivially_copyable_v<ShardTotals>);
 class ShardDriver {
  public:
   ShardDriver(std::uint32_t shard, const DistributedConfig& config,
-              const std::vector<LpRunner*>& all_lps, int fd,
-              std::vector<PeerLink> links, const LiveStatsHooks& live,
+              const std::vector<LpRunner*>& all_lps, FrameStream coord,
+              std::vector<FrameStream> links, const LiveStatsHooks& live,
               std::int64_t clock_offset_ns, std::uint64_t clock_rtt_ns,
               bool fault)
       : shard_(shard),
@@ -206,7 +148,7 @@ class ShardDriver {
         clock_offset_ns_(clock_offset_ns),
         clock_rtt_ns_(clock_rtt_ns),
         num_lps_(static_cast<LpId>(all_lps.size())),
-        fd_(fd),
+        coord_(std::move(coord)),
         all_lps_(all_lps),
         links_(std::move(links)),
         fault_(fault),
@@ -233,14 +175,15 @@ class ShardDriver {
 
   void run();
 
-  /// Encodes the shard summary + harvest blob as the RESULT payload.
-  void encode_result(WireWriter& w, const std::vector<std::uint8_t>& harvest) const;
+  /// Sends RESULT (the shard summary plus the `harvest` blob), then lingers
+  /// until the coordinator closes the stream.
+  void report(const std::vector<std::uint8_t>& harvest);
 
-  /// Replacement-worker entry: adopt a RESTORE payload as this shard's
-  /// committed snapshot, rebuild every local LP from it and freeze until the
-  /// coordinator's Resume. Called once, before run().
-  void restore_from(std::uint32_t epoch, std::uint64_t gvt_ticks,
-                    std::vector<std::uint8_t> blob);
+  /// Replacement-worker entry: reads the coordinator's RESTORE, adopts it as
+  /// this shard's committed snapshot, rebuilds every local LP from it,
+  /// reports RECOVERED and stays frozen until the coordinator's Resume.
+  /// Called once, before run().
+  void restore_from_coordinator();
 
   [[nodiscard]] std::uint64_t now_ns() const noexcept {
     return mono_ns() - epoch_ns_;
@@ -270,11 +213,15 @@ class ShardDriver {
   ShardTotals totals_;
 
  private:
-  void drain_socket();
+  /// Header of a control frame from this shard: `tag`, the control flag,
+  /// src_lp = this shard and send_ns in the coordinator clock domain.
+  [[nodiscard]] FrameHeader control_header(WireTag tag,
+                                           std::size_t payload_len = 0) const;
+  void drain_coordinator();
   void drain_links();
-  void handle_coord_frame(const FrameHeader& header, const std::uint8_t* payload);
-  void handle_peer_frame(std::uint32_t peer, const std::uint8_t* frame,
-                         const FrameHeader& header);
+  void handle_coord_frame(const FrameHeader& header, const std::uint8_t* frame);
+  void handle_peer_frame(std::uint32_t peer, const FrameHeader& header,
+                         const std::uint8_t* frame);
   void route_inbound(const std::uint8_t* frame, const FrameHeader& header,
                      std::uint32_t src_shard_hint);
   void handle_migrate_cmd(const std::uint8_t* payload, std::uint32_t len);
@@ -288,7 +235,6 @@ class ShardDriver {
   void serialize_shard(std::uint32_t epoch);
   void restore_local(WireReader& r);
   void settle_pass();
-  void drop_peer_link(std::uint32_t peer);
   void flush_peer_link(std::uint32_t peer);
   void maybe_send_time_ping();
   void send_done();
@@ -312,9 +258,10 @@ class ShardDriver {
   std::uint64_t last_time_ping_ns_ = 0;  ///< driver-relative (now_ns())
   std::uint64_t next_stats_ns_ = 0;  ///< driver-relative deadline (now_ns())
   LpId num_lps_;
-  int fd_;
+  FrameStream coord_;  ///< to the coordinator; every write blocks
   const std::vector<LpRunner*>& all_lps_;  ///< fork gave us a copy of every LP
-  std::vector<PeerLink> links_;            ///< index = shard; self unused
+  /// Peer links, index = shard (self unused); writes are queued, never block.
+  std::vector<FrameStream> links_;
   std::vector<ShardLp> lps_;
   std::vector<std::size_t> lp_index_;  ///< global LpId -> index in lps_
   std::vector<std::uint32_t> owners_;  ///< LP -> shard, current routing epoch
@@ -326,7 +273,6 @@ class ShardDriver {
   std::uint64_t migrations_in_ = 0;
   bool done_announced_ = false;
   bool finish_received_ = false;
-  std::vector<std::uint8_t> in_buf_;   ///< unparsed coordinator-stream bytes
   std::vector<std::uint8_t> scratch_;  ///< payload encode buffer
 
   // --- fault tolerance (DESIGN.md section 8c) ---
@@ -457,13 +403,13 @@ void ShardDriver::send_remote(LpId src, LpId dst, const EngineMessage& msg) {
   if (msg.wire_control()) {
     // Control plane (GVT tokens/announces) transits the coordinator, which
     // keeps RelayResidency attribution.
-    send_frame(fd_, header, scratch_.data());
+    coord_.send(header, scratch_.data());
   } else {
     // Data plane: one hop on the direct (src,dst) peer link. A dead peer's
     // frames accumulate in the queue and are discarded with the incarnation
     // at recovery (the rollback re-generates them).
     const std::uint32_t peer = owners_[dst];
-    queue_frame(links_[peer].out, header, scratch_.data());
+    links_[peer].queue(header, scratch_.data());
     flush_peer_link(peer);
   }
 
@@ -512,12 +458,9 @@ void ShardDriver::maybe_send_time_ping() {
     return;
   }
   last_time_ping_ns_ = now == 0 ? 1 : now;
-  FrameHeader ping;
-  ping.tag = kTagTime;
-  ping.flags = kFlagControl;
-  ping.src_lp = shard_;
+  FrameHeader ping = control_header(kTagTime);
   ping.send_ns = mono_ns();  // RAW local clock; echoed back verbatim
-  send_frame(fd_, ping, nullptr);
+  coord_.send(ping, nullptr);
 }
 
 void ShardDriver::forward_frame(const std::uint8_t* frame,
@@ -527,9 +470,7 @@ void ShardDriver::forward_frame(const std::uint8_t* frame,
   // a forwarded frame always moves toward the migration's destination and
   // chains terminate (bounded by the number of rebinds).
   const std::uint32_t peer = owners_[header.dst_lp];
-  PeerLink& link = links_[peer];
-  link.out.insert(link.out.end(), frame,
-                  frame + kFrameHeaderBytes + header.payload_len);
+  links_[peer].queue_raw(frame, kFrameHeaderBytes + header.payload_len);
   ++snap_sent_;
   flush_peer_link(peer);
   ++totals_.dist.frames_forwarded;
@@ -628,26 +569,23 @@ void ShardDriver::handle_migrate_cmd(const std::uint8_t* payload,
       frozen = migratable->migrate_out(ctx, w);
     }
     if (!frozen) {
-      // The LP completed while migrate_out drained its backlog; its next
-      // step() reports Done through the normal path. Decline the move.
+      // Declined: the LP completed while migrate_out drained its inbox, or
+      // GVT is still zero. Draining may have handed it work, and only a
+      // step() reports Done, so step it again: an LP left Idle with an
+      // empty inbox would sleep forever.
+      s.status = StepStatus::Active;
       accepted = 0;
     } else {
       if (live_.bank != nullptr) {
         live_.bank->record(obs::hist::Seam::MigrationFreeze, mono_ns() - t0);
       }
       OTW_ASSERT(s.inbox.empty());  // migrate_out must drain via ctx.poll()
-      FrameHeader h;
-      h.payload_len = static_cast<std::uint32_t>(blob.size());
-      h.tag = kTagMigrate;
-      h.flags = kFlagControl;
-      h.src_lp = shard_;
+      FrameHeader h = control_header(kTagMigrate, blob.size());
       h.dst_lp = lp;
-      h.send_ns = aligned_now_ns();
       // Peer link, not the coordinator: frames already forwarded toward the
       // destination sit ahead of the LP state on the same FIFO stream.
-      PeerLink& link = links_[to];
-      queue_frame(link.out, h, blob.data());
-      flush_out(link.fd, link.out, link.out_pos, "send (peer link)");
+      links_[to].queue(h, blob.data());
+      flush_peer_link(to);
       ++totals_.dist.frames_sent;
       totals_.dist.bytes_sent += kFrameHeaderBytes + blob.size();
 
@@ -668,13 +606,7 @@ void ShardDriver::handle_migrate_cmd(const std::uint8_t* payload,
   w.u32(to);
   w.u32(epoch);
   w.u8(accepted);
-  FrameHeader h;
-  h.payload_len = static_cast<std::uint32_t>(scratch_.size());
-  h.tag = kTagMigrated;
-  h.flags = kFlagControl;
-  h.src_lp = shard_;
-  h.send_ns = aligned_now_ns();
-  send_frame(fd_, h, scratch_.data());
+  coord_.send(control_header(kTagMigrated, scratch_.size()), scratch_.data());
 }
 
 void ShardDriver::handle_migrate_in(const FrameHeader& header,
@@ -728,13 +660,7 @@ void ShardDriver::send_snap_ack(std::uint8_t kind, std::uint64_t a,
   w.u64(a);
   w.u64(b);
   w.u32(seq);
-  FrameHeader h;
-  h.payload_len = static_cast<std::uint32_t>(scratch_.size());
-  h.tag = kTagSnapAck;
-  h.flags = kFlagControl;
-  h.src_lp = shard_;
-  h.send_ns = aligned_now_ns();
-  send_frame(fd_, h, scratch_.data());
+  coord_.send(control_header(kTagSnapAck, scratch_.size()), scratch_.data());
 }
 
 void ShardDriver::settle_pass() {
@@ -794,13 +720,7 @@ void ShardDriver::serialize_shard(std::uint32_t epoch) {
   pw.u32(epoch);
   pw.u64(gvt);
   pw.bytes(blob.data(), blob.size());
-  FrameHeader h;
-  h.payload_len = static_cast<std::uint32_t>(scratch_.size());
-  h.tag = kTagSnapData;
-  h.flags = kFlagControl;
-  h.src_lp = shard_;
-  h.send_ns = aligned_now_ns();
-  send_frame(fd_, h, scratch_.data());
+  coord_.send(control_header(kTagSnapData, scratch_.size()), scratch_.data());
   totals_.dist.bytes_sent += kFrameHeaderBytes + scratch_.size();
   pending_blob_ = std::move(blob);
   pending_epoch_ = epoch;
@@ -939,42 +859,36 @@ void ShardDriver::restore_local(WireReader& r) {
   }
 }
 
-void ShardDriver::restore_from(std::uint32_t epoch, std::uint64_t gvt_ticks,
-                               std::vector<std::uint8_t> blob) {
-  OTW_REQUIRE_MSG(fault_, "restore_from without fault tolerance enabled");
-  self_blob_ = std::move(blob);
-  self_epoch_ = epoch;
-  self_gvt_ = gvt_ticks;
-  WireReader r(self_blob_.data(), self_blob_.size());
-  restore_local(r);
+void ShardDriver::restore_from_coordinator() {
+  OTW_REQUIRE_MSG(fault_, "restore without fault tolerance enabled");
+  // The RESTORE frame (u32 epoch + u64 gvt + shard blob) follows the
+  // HELLO-ACK on the coordinator stream.
+  std::vector<std::uint8_t> payload;
+  const FrameHeader h = coord_.read_frame(payload, "RESTORE");
+  OTW_REQUIRE_MSG(h.tag == kTagRestore && h.payload_len >= 12,
+                  "expected RESTORE as the first post-mesh frame");
+  WireReader r(payload.data(), payload.size());
+  self_epoch_ = r.u32();
+  self_gvt_ = r.u64();
+  self_blob_.assign(payload.begin() + 12, payload.end());
+  WireReader blob(self_blob_.data(), self_blob_.size());
+  restore_local(blob);
   snap_sent_ = 0;
   snap_recv_ = 0;
   snap_mode_ = SnapMode::Hold;  // frozen until the coordinator's Resume
-}
-
-void ShardDriver::drop_peer_link(std::uint32_t peer) {
-  PeerLink& link = links_[peer];
-  if (link.fd >= 0) {
-    ::close(link.fd);
-  }
-  link.fd = -1;
-  link.in.clear();
-  link.out.clear();
-  link.out_pos = 0;
+  coord_.send(control_header(kTagRecovered), nullptr);
 }
 
 void ShardDriver::flush_peer_link(std::uint32_t peer) {
-  PeerLink& link = links_[peer];
-  if (link.fd < 0 || !link.out_pending()) {
-    return;  // fd < 0: dead incarnation, bytes discarded at recovery
+  FrameStream& link = links_[peer];
+  if (!link.is_open() || link.flush()) {
+    return;  // closed: dead incarnation, its bytes are discarded at recovery
   }
-  if (fault_) {
-    if (!flush_out_tolerant(link.fd, link.out, link.out_pos)) {
-      drop_peer_link(peer);  // SIGKILLed peer; recovery re-dials it
-    }
-  } else {
-    flush_out(link.fd, link.out, link.out_pos, "send (peer link)");
+  if (!fault_) {
+    throw std::runtime_error("peer shard " + std::to_string(peer) +
+                             " closed its link");
   }
+  link.close();  // SIGKILLed peer; recovery re-dials it
 }
 
 void ShardDriver::handle_recover(const std::uint8_t* payload,
@@ -991,22 +905,17 @@ void ShardDriver::handle_recover(const std::uint8_t* payload,
   // blocking-flushing at each other would deadlock). The replacement gets
   // none — its link starts inside the new incarnation.
   for (std::uint32_t p = 0; p < links_.size(); ++p) {
-    if (p == shard_ || p == dead || links_[p].fd < 0) {
+    if (p == shard_ || p == dead || !links_[p].is_open()) {
       continue;
     }
-    FrameHeader mark;
-    mark.tag = kTagRecoverMark;
-    mark.flags = kFlagControl;
-    mark.src_lp = shard_;
-    mark.send_ns = aligned_now_ns();
-    queue_frame(links_[p].out, mark, nullptr);
+    links_[p].queue(control_header(kTagRecoverMark), nullptr);
     if (early_marker_[p]) {
       early_marker_[p] = false;  // the peer's marker already arrived
     } else {
       await_marker_[p] = true;
     }
   }
-  drop_peer_link(dead);
+  links_[dead].close();
   // Adopt the committed cut. A death between serialize and resume means the
   // epoch being restored may still sit unpromoted in pending_blob_.
   if (pending_valid_ && pending_epoch_ == epoch) {
@@ -1021,30 +930,19 @@ void ShardDriver::handle_recover(const std::uint8_t* payload,
   WireReader blob(self_blob_.data(), self_blob_.size());
   restore_local(blob);
   // Dial the replacement and identify ourselves, exactly as at startup.
-  const int pfd = util::net::connect_loopback(new_port, kNetCtx);
-  set_nodelay(pfd);
-  FrameHeader ph;
-  ph.tag = kTagPeerHello;
-  ph.src_lp = shard_;
-  send_frame(pfd, ph, nullptr);
-  set_nonblocking(pfd);
-  links_[dead].fd = pfd;
+  links_[dead] = dial_peer(new_port, shard_);
   // Fresh incarnation: counters restart from zero on every shard, keeping
   // the conservation proof exact (discarded frames are never counted).
   snap_sent_ = 0;
   snap_recv_ = 0;
   snap_poll_pending_ = false;
   snap_mode_ = SnapMode::Hold;
-  FrameHeader done;
-  done.tag = kTagRecovered;
-  done.flags = kFlagControl;
-  done.src_lp = shard_;
-  done.send_ns = aligned_now_ns();
-  send_frame(fd_, done, nullptr);
+  coord_.send(control_header(kTagRecovered), nullptr);
 }
 
 void ShardDriver::handle_coord_frame(const FrameHeader& header,
-                                     const std::uint8_t* payload) {
+                                     const std::uint8_t* frame) {
+  const std::uint8_t* payload = frame + kFrameHeaderBytes;
   switch (header.tag) {
     case kTagTime:
       handle_time_echo(header, payload);
@@ -1073,14 +971,26 @@ void ShardDriver::handle_coord_frame(const FrameHeader& header,
   // per our current owner map — best effort under migration, exact otherwise.
   const std::uint32_t src_shard =
       header.src_lp < num_lps_ ? owners_[header.src_lp] : shard_;
-  route_inbound(reinterpret_cast<const std::uint8_t*>(payload) -
-                    kFrameHeaderBytes,
-                header, src_shard);
+  route_inbound(frame, header, src_shard);
 }
 
 void ShardDriver::handle_peer_frame(std::uint32_t peer,
-                                    const std::uint8_t* frame,
-                                    const FrameHeader& header) {
+                                    const FrameHeader& header,
+                                    const std::uint8_t* frame) {
+  if (fault_ && await_marker_[peer]) {
+    // Dead-incarnation frame: dropped, uncounted. The marker rides the same
+    // FIFO stream, so the discard window is exact.
+    if (header.tag == kTagRecoverMark) {
+      await_marker_[peer] = false;
+    }
+    return;
+  }
+  if (header.tag == kTagRecoverMark) {
+    // The peer's marker beat our own RECOVER here (the two travel on
+    // different streams); remember it so RECOVER does not await another.
+    early_marker_[peer] = true;
+    return;
+  }
   if (header.tag == kTagMigrate) {
     handle_migrate_in(header, frame + kFrameHeaderBytes);
     return;
@@ -1090,103 +1000,40 @@ void ShardDriver::handle_peer_frame(std::uint32_t peer,
   route_inbound(frame, header, peer);
 }
 
-void ShardDriver::drain_socket() {
-  // Pull whatever is available without blocking, then parse complete frames.
-  std::uint8_t chunk[16384];
-  for (;;) {
-    const ssize_t n = ::recv(fd_, chunk, sizeof chunk, 0);
-    if (n > 0) {
-      in_buf_.insert(in_buf_.end(), chunk, chunk + n);
-      continue;
-    }
-    if (n == 0) {
-      throw std::runtime_error("coordinator closed the connection");
-    }
-    if (errno == EAGAIN || errno == EWOULDBLOCK) {
-      break;
-    }
-    if (errno == EINTR) {
-      continue;
-    }
-    throw_errno("recv");
+void ShardDriver::drain_coordinator() {
+  const bool open = coord_.receive();
+  coord_.parse([this](const FrameHeader& header, const std::uint8_t* frame) {
+    handle_coord_frame(header, frame);
+    return true;
+  });
+  if (!open) {
+    throw std::runtime_error("coordinator closed the connection");
   }
-  std::size_t pos = 0;
-  while (in_buf_.size() - pos >= kFrameHeaderBytes) {
-    const FrameHeader header = decode_frame_header(in_buf_.data() + pos);
-    if (in_buf_.size() - pos < kFrameHeaderBytes + header.payload_len) {
-      break;  // incomplete frame; keep the tail for the next drain
-    }
-    handle_coord_frame(header, in_buf_.data() + pos + kFrameHeaderBytes);
-    pos += kFrameHeaderBytes + header.payload_len;
-  }
-  in_buf_.erase(in_buf_.begin(),
-                in_buf_.begin() + static_cast<std::ptrdiff_t>(pos));
 }
 
 void ShardDriver::drain_links() {
-  std::uint8_t chunk[16384];
   for (std::uint32_t peer = 0; peer < links_.size(); ++peer) {
-    PeerLink& link = links_[peer];
-    if (link.fd < 0) {
+    FrameStream& link = links_[peer];
+    if (!link.is_open()) {
       continue;
     }
-    bool dead = false;
-    for (;;) {
-      const ssize_t n = ::recv(link.fd, chunk, sizeof chunk, 0);
-      if (n > 0) {
-        link.in.insert(link.in.end(), chunk, chunk + n);
-        continue;
-      }
-      if (n == 0) {
-        if (fault_) {
-          // The peer's process died. Parse what it already sent (frames from
-          // before its death are valid until the rollback discards them),
-          // then tear the link down; RECOVER re-dials the replacement.
-          dead = true;
-          break;
-        }
-        throw std::runtime_error("peer shard " + std::to_string(peer) +
-                                 " closed its link");
-      }
-      if (errno == EAGAIN || errno == EWOULDBLOCK) {
-        break;
-      }
-      if (errno == EINTR) {
-        continue;
-      }
-      if (fault_ && (errno == ECONNRESET || errno == EPIPE)) {
-        dead = true;
-        break;
-      }
-      throw_errno("recv (peer link)");
+    // Parse before acting on a close: frames a peer sent before its death
+    // stay valid until the rollback discards them. A handler may close this
+    // link (a forward toward a dead peer), which ends the batch.
+    const bool open = link.receive();
+    link.parse([this, peer](const FrameHeader& header,
+                            const std::uint8_t* frame) {
+      handle_peer_frame(peer, header, frame);
+      return true;
+    });
+    if (open) {
+      continue;
     }
-    std::size_t pos = 0;
-    while (link.fd >= 0 && link.in.size() - pos >= kFrameHeaderBytes) {
-      const FrameHeader header = decode_frame_header(link.in.data() + pos);
-      if (link.in.size() - pos < kFrameHeaderBytes + header.payload_len) {
-        break;
-      }
-      if (fault_ && await_marker_[peer]) {
-        // Dead-incarnation frame: dropped, uncounted. The marker rides the
-        // same FIFO stream, so the discard window is exact.
-        if (header.tag == kTagRecoverMark) {
-          await_marker_[peer] = false;
-        }
-      } else if (header.tag == kTagRecoverMark) {
-        // The peer's marker beat our own RECOVER here (the two travel on
-        // different streams); remember it so RECOVER does not await another.
-        early_marker_[peer] = true;
-      } else {
-        handle_peer_frame(peer, link.in.data() + pos, header);
-      }
-      pos += kFrameHeaderBytes + header.payload_len;
+    if (!fault_) {
+      throw std::runtime_error("peer shard " + std::to_string(peer) +
+                               " closed its link");
     }
-    pos = std::min(pos, link.in.size());  // a handler may have dropped the link
-    link.in.erase(link.in.begin(),
-                  link.in.begin() + static_cast<std::ptrdiff_t>(pos));
-    if (dead) {
-      drop_peer_link(peer);
-    }
+    link.close();  // the peer's process died; RECOVER re-dials the replacement
   }
 }
 
@@ -1196,56 +1043,63 @@ void ShardDriver::flush_links() {
   }
 }
 
-void ShardDriver::send_done() {
+FrameHeader ShardDriver::control_header(WireTag tag,
+                                        std::size_t payload_len) const {
   FrameHeader h;
-  h.payload_len = 8;
-  h.tag = kTagDone;
+  h.payload_len = static_cast<std::uint32_t>(payload_len);
+  h.tag = tag;
   h.flags = kFlagControl;
   h.src_lp = shard_;
   h.send_ns = aligned_now_ns();
+  return h;
+}
+
+void ShardDriver::send_done() {
   std::uint8_t payload[8];
   std::memcpy(payload, &migrations_in_, 8);
-  send_frame(fd_, h, payload);
+  coord_.send(control_header(kTagDone, 8), payload);
   done_announced_ = true;
 }
 
 void ShardDriver::idle_wait() {
-  // Everyone local is Idle with an empty inbox: sleep until a frame arrives
-  // or the earliest self-requested wakeup, capped at idle_poll_us. An armed
-  // STATS deadline also caps the sleep: an idle shard must keep reporting,
-  // or the coordinator's silent-shard watchdog would see a healthy-but-quiet
-  // worker as dead.
+  // Nothing local can run: sleep until a frame arrives, the earliest
+  // self-requested wakeup or kIdleWaitNs, whichever comes first, with a
+  // zero timeout when a wakeup is already due. Wakeups count only while LPs
+  // may step (the snapshot protocol's Settle and Hold modes step none). An
+  // armed STATS deadline also caps the sleep: an idle shard must keep
+  // reporting, or the coordinator's silent-shard watchdog would see a
+  // healthy-but-quiet worker as dead.
   std::uint64_t next_wake = kNever;
-  for (const ShardLp& lp : lps_) {
-    if (lp.status != StepStatus::Done) {
-      next_wake = std::min(next_wake, lp.wake_hint_ns);
+  if (snap_mode_ == SnapMode::Run) {
+    for (const ShardLp& lp : lps_) {
+      if (lp.status != StepStatus::Done) {
+        next_wake = std::min(next_wake, lp.wake_hint_ns);
+      }
     }
   }
   if (live_.enabled()) {
     next_wake = std::min(next_wake, next_stats_ns_);
   }
-  std::uint64_t timeout_us = config_.idle_poll_us;
+  std::uint64_t timeout_ns = kIdleWaitNs;
   if (next_wake != kNever) {
     const std::uint64_t now = now_ns();
-    timeout_us = next_wake <= now
-                     ? 0
-                     : std::min<std::uint64_t>(timeout_us,
-                                               (next_wake - now) / 1000 + 1);
+    timeout_ns = next_wake <= now ? 0 : std::min(timeout_ns, next_wake - now);
   }
   std::vector<pollfd> pfds;
-  pfds.push_back({fd_, POLLIN, 0});
-  for (PeerLink& link : links_) {
-    if (link.fd >= 0) {
-      pfds.push_back({link.fd,
-                      static_cast<short>(POLLIN |
-                                         (link.out_pending() ? POLLOUT : 0)),
-                      0});
+  pfds.push_back({coord_.fd(), POLLIN, 0});
+  for (const FrameStream& link : links_) {
+    if (link.is_open()) {
+      pfds.push_back(
+          {link.fd(),
+           static_cast<short>(POLLIN | (link.queued_bytes() > 0 ? POLLOUT : 0)),
+           0});
     }
   }
-  const int rc = ::poll(pfds.data(), pfds.size(),
-                        static_cast<int>(timeout_us / 1000 + 1));
-  if (rc < 0 && errno != EINTR) {
-    throw_errno("poll");
+  const timespec timeout{static_cast<std::time_t>(timeout_ns / 1'000'000'000),
+                         static_cast<long>(timeout_ns % 1'000'000'000)};
+  if (::ppoll(pfds.data(), pfds.size(), &timeout, nullptr) < 0 &&
+      errno != EINTR) {
+    throw_errno("ppoll");
   }
 }
 
@@ -1259,13 +1113,7 @@ void ShardDriver::maybe_send_stats() {
   }
   next_stats_ns_ = now + static_cast<std::uint64_t>(live_.period_ms) * 1'000'000;
   const std::vector<std::uint8_t> payload = live_.encode(shard_);
-  FrameHeader header;
-  header.payload_len = static_cast<std::uint32_t>(payload.size());
-  header.tag = kTagStats;
-  header.flags = kFlagControl;
-  header.src_lp = shard_;
-  header.send_ns = aligned_now_ns();
-  send_frame(fd_, header, payload.data());
+  coord_.send(control_header(kTagStats, payload.size()), payload.data());
   ++totals_.dist.frames_sent;
   totals_.dist.bytes_sent += kFrameHeaderBytes + payload.size();
 }
@@ -1275,7 +1123,7 @@ void ShardDriver::run() {
   // set drains, so run until the coordinator says FINISH (it waits for every
   // shard's DONE with settled migration counts).
   for (;;) {
-    drain_socket();
+    drain_coordinator();
     drain_links();
     if (finish_received_) {
       break;
@@ -1312,9 +1160,9 @@ void ShardDriver::run() {
       if (lp.status == StepStatus::Done) {
         --remaining_;
       }
-      if (++totals_.steps > config_.max_steps) {
+      if (++totals_.steps > kMaxSteps) {
         throw std::runtime_error("shard exceeded max_steps=" +
-                                 std::to_string(config_.max_steps));
+                                 std::to_string(kMaxSteps));
       }
     }
     if (remaining_ == 0 && !done_announced_) {
@@ -1331,8 +1179,9 @@ void ShardDriver::run() {
   }
 }
 
-void ShardDriver::encode_result(WireWriter& w,
-                                const std::vector<std::uint8_t>& harvest) const {
+void ShardDriver::report(const std::vector<std::uint8_t>& harvest) {
+  std::vector<std::uint8_t> payload;
+  WireWriter w(payload);
   w.bytes(&totals_, sizeof totals_);
   w.u32(static_cast<std::uint32_t>(harvest.size()));
   w.bytes(harvest.data(), harvest.size());
@@ -1358,6 +1207,15 @@ void ShardDriver::encode_result(WireWriter& w,
   w.u64(trace_.dropped());
   w.u32(static_cast<std::uint32_t>(records.size()));
   w.bytes(records.data(), records.size() * sizeof(obs::TraceRecord));
+  coord_.send(control_header(kTagResult, payload.size()), payload.data());
+  // Linger until the coordinator closes (it does once every RESULT is in):
+  // our peer links must stay open as long as any other worker might still
+  // flush toward us, or its writes would die on ECONNRESET. Nothing
+  // meaningful follows our RESULT, so whatever arrives is discarded.
+  while (coord_.receive()) {
+    coord_.parse([](const FrameHeader&, const std::uint8_t*) { return true; });
+    util::net::wait_for(coord_.fd(), POLLIN, kNetCtx);
+  }
 }
 
 /// Worker process body. Never returns; _exit() keeps the forked child from
@@ -1386,41 +1244,31 @@ void ShardDriver::encode_result(WireWriter& w,
     std::uint16_t peer_port = 0;
     const int peer_listen_fd = util::net::listen_loopback(
         0, static_cast<int>(config.num_shards), peer_port, kNetCtx);
-    const int fd = util::net::connect_loopback(port, kNetCtx);
-    set_nodelay(fd);
+    FrameStream coord = connect_stream(port);
 
     // HELLO must be the first (and, until the driver runs, only) frame on
     // this stream: the coordinator reads exactly one frame per connection
     // to learn which shard it is talking to. The payload carries our peer
     // listener port. send_ns carries our raw clock (t0); the coordinator
     // answers with a HELLO-ACK whose send_ns is ITS clock (t_c) and whose
-    // payload is the peer directory, read here while the socket is still
-    // blocking. Midpoint estimate: offset = t_c - (t0 + t1)/2. The ACK
-    // is batched behind every worker's HELLO (the directory needs them all),
-    // so the initial RTT bound is loose; TIME pings tighten it when the
-    // attribution plane is armed.
+    // payload is the peer directory. Midpoint estimate: offset = t_c -
+    // (t0 + t1)/2. The ACK is batched behind every worker's HELLO (the
+    // directory needs them all), so the initial RTT bound is loose; TIME
+    // pings tighten it when the attribution plane is armed.
     FrameHeader hello;
+    hello.payload_len = 2;
     hello.tag = kTagHello;
     hello.src_lp = shard;
-    hello.payload_len = 2;
     const std::uint64_t t0 = mono_ns();
     hello.send_ns = t0;
     std::uint8_t port_payload[2];
     std::memcpy(port_payload, &peer_port, 2);
-    send_frame(fd, hello, port_payload);
-    std::uint8_t ack_raw[kFrameHeaderBytes];
-    if (!read_exact(fd, ack_raw, kFrameHeaderBytes)) {
-      throw std::runtime_error("coordinator closed before HELLO-ACK");
-    }
+    coord.send(hello, port_payload);
+    std::vector<std::uint8_t> dir;
+    const FrameHeader ack = coord.read_frame(dir, "HELLO-ACK");
     const std::uint64_t t1 = mono_ns();
-    const FrameHeader ack = decode_frame_header(ack_raw);
     OTW_REQUIRE_MSG(ack.tag == kTagHelloAck,
                     "expected HELLO-ACK as the first coordinator frame");
-    std::vector<std::uint8_t> dir(ack.payload_len);
-    if (ack.payload_len > 0 &&
-        !read_exact(fd, dir.data(), ack.payload_len)) {
-      throw std::runtime_error("coordinator closed mid HELLO-ACK");
-    }
     const std::uint64_t rtt = t1 - t0;
     const std::int64_t offset = static_cast<std::int64_t>(ack.send_ns) -
                                 static_cast<std::int64_t>(t0 + rtt / 2);
@@ -1428,123 +1276,41 @@ void ShardDriver::encode_result(WireWriter& w,
     // Dial phase, deterministic: shard i dials every j < i (the TCP accept
     // backlog guarantees those connects succeed even before shard j reaches
     // accept()), then accepts every j > i. One stream per pair.
-    std::vector<PeerLink> links(config.num_shards);
     WireReader r(dir.data(), dir.size());
     const std::uint32_t n = r.u32();
     OTW_REQUIRE_MSG(n == config.num_shards,
                     "peer directory size mismatch in HELLO-ACK");
-    std::vector<std::uint16_t> ports(n);
+    std::vector<FrameStream> links(n);
     for (std::uint32_t j = 0; j < n; ++j) {
-      ports[j] = r.u16();
-    }
-    OTW_REQUIRE_MSG(r.done(), "trailing bytes after peer directory");
-    if (!recover) {
-      for (std::uint32_t j = 0; j < shard; ++j) {
-        const int pfd = util::net::connect_loopback(ports[j], kNetCtx);
-        set_nodelay(pfd);
-        FrameHeader peer_hello;
-        peer_hello.tag = kTagPeerHello;
-        peer_hello.src_lp = shard;
-        send_frame(pfd, peer_hello, nullptr);
-        links[j].fd = pfd;
+      const std::uint16_t peer = r.u16();
+      if (!recover && j < shard) {
+        links[j] = dial_peer(peer, shard);
       }
     }
+    OTW_REQUIRE_MSG(r.done(), "trailing bytes after peer directory");
     // Fresh start: accept every higher-numbered shard's dial. Recovery:
     // every survivor (re-)dials us, in whatever order they process the
     // RECOVER broadcast.
-    const std::uint32_t expect_dials =
-        recover ? config.num_shards - 1 : config.num_shards - shard - 1;
-    for (std::uint32_t j = 0; j < expect_dials; ++j) {
-      int afd;
-      do {
-        afd = ::accept(peer_listen_fd, nullptr, nullptr);
-      } while (afd < 0 && errno == EINTR);
-      if (afd < 0) {
-        throw_errno("accept (peer link)");
-      }
-      set_nodelay(afd);
-      std::uint8_t raw[kFrameHeaderBytes];
-      if (!read_exact(afd, raw, kFrameHeaderBytes)) {
-        throw std::runtime_error("peer disconnected before PEER-HELLO");
-      }
-      const FrameHeader ph = decode_frame_header(raw);
+    const std::uint32_t expect_dials = recover ? n - 1 : n - shard - 1;
+    for (std::uint32_t k = 0; k < expect_dials; ++k) {
+      FrameStream link = accept_stream(peer_listen_fd);
+      std::vector<std::uint8_t> none;
+      const FrameHeader ph = link.read_frame(none, "PEER-HELLO");
       OTW_REQUIRE_MSG(ph.tag == kTagPeerHello && ph.payload_len == 0 &&
                           (recover ? ph.src_lp != shard : ph.src_lp > shard) &&
-                          ph.src_lp < config.num_shards &&
-                          links[ph.src_lp].fd < 0,
+                          ph.src_lp < n && !links[ph.src_lp].is_open(),
                       "malformed PEER-HELLO");
-      links[ph.src_lp].fd = afd;
+      links[ph.src_lp] = std::move(link);
     }
     ::close(peer_listen_fd);
-    for (PeerLink& link : links) {
-      if (link.fd >= 0) {
-        set_nonblocking(link.fd);
-      }
-    }
-    ShardDriver driver(shard, config, lps, fd, std::move(links), live, offset,
-                       rtt, fault);
+    ShardDriver driver(shard, config, lps, std::move(coord), std::move(links),
+                       live, offset, rtt, fault);
     if (recover) {
-      // fd is still blocking: the RESTORE frame (u32 epoch + u64 gvt + shard
-      // blob) is the next thing the coordinator sends on this stream.
-      std::uint8_t raw[kFrameHeaderBytes];
-      if (!read_exact(fd, raw, kFrameHeaderBytes)) {
-        throw std::runtime_error("coordinator closed before RESTORE");
-      }
-      const FrameHeader rh = decode_frame_header(raw);
-      OTW_REQUIRE_MSG(rh.tag == kTagRestore && rh.payload_len >= 12,
-                      "expected RESTORE as the first post-mesh frame");
-      std::vector<std::uint8_t> restore_payload(rh.payload_len);
-      if (!read_exact(fd, restore_payload.data(), restore_payload.size())) {
-        throw std::runtime_error("coordinator closed mid RESTORE");
-      }
-      WireReader rr(restore_payload.data(), restore_payload.size());
-      const std::uint32_t epoch = rr.u32();
-      const std::uint64_t gvt = rr.u64();
-      std::vector<std::uint8_t> blob(rr.remaining());
-      rr.bytes(blob.data(), blob.size());
-      driver.restore_from(epoch, gvt, std::move(blob));
-      FrameHeader recovered;
-      recovered.tag = kTagRecovered;
-      recovered.flags = kFlagControl;
-      recovered.src_lp = shard;
-      send_frame(fd, recovered, nullptr);
+      driver.restore_from_coordinator();
     }
-    set_nonblocking(fd);
     driver.run();
-
-    const std::vector<std::uint8_t> blob =
-        harvest ? harvest(shard, driver.owners()) : std::vector<std::uint8_t>{};
-    std::vector<std::uint8_t> payload;
-    WireWriter writer(payload);
-    driver.encode_result(writer, blob);
-    FrameHeader result;
-    result.payload_len = static_cast<std::uint32_t>(payload.size());
-    result.tag = kTagResult;
-    result.src_lp = shard;
-    send_frame(fd, result, payload.data());
-    // Linger until the coordinator closes (it does once every RESULT is
-    // in): our peer links must stay open as long as any other worker might
-    // still flush toward us, or its writes would die on ECONNRESET.
-    std::uint8_t sink[4096];
-    for (;;) {
-      const ssize_t n = ::recv(fd, sink, sizeof sink, 0);
-      if (n > 0) {
-        continue;  // discard: nothing meaningful follows our RESULT
-      }
-      if (n == 0) {
-        break;
-      }
-      if (errno == EAGAIN || errno == EWOULDBLOCK) {
-        pollfd p{fd, POLLIN, 0};
-        ::poll(&p, 1, -1);
-        continue;
-      }
-      if (errno == EINTR) {
-        continue;
-      }
-      break;  // coordinator already gone; exiting is the right response
-    }
-    ::close(fd);
+    driver.report(harvest ? harvest(shard, driver.owners())
+                          : std::vector<std::uint8_t>{});
     ::_exit(0);
   } catch (const std::exception& e) {
     std::fprintf(stderr, "[otw shard %u] fatal: %s\n", shard, e.what());
@@ -1559,21 +1325,18 @@ void ShardDriver::encode_result(WireWriter& w,
 // Coordinator side.
 // ---------------------------------------------------------------------------
 
-struct Conn {
-  int fd = -1;
-  std::uint32_t shard = 0;
-  std::vector<std::uint8_t> in;  ///< unparsed inbound bytes
-  std::vector<std::uint8_t> out; ///< queued outbound bytes (non-blocking flush)
-  std::size_t out_pos = 0;
-  bool done = false;        ///< RESULT received
-  bool done_valid = false;  ///< a DONE is the latest active-set report
-  std::uint64_t done_migrations_in = 0;  ///< migrations_in from that DONE
-
-  [[nodiscard]] bool out_pending() const noexcept { return out_pos < out.size(); }
-};
-
-void flush_conn(Conn& conn) {
-  flush_out(conn.fd, conn.out, conn.out_pos, "send (relay)");
+/// Header of a coordinator control frame: `tag`, the control flag, the
+/// coordinator's clock in send_ns and `shard` (the addressed worker, where
+/// there is one) in src_lp.
+FrameHeader coordinator_header(WireTag tag, std::size_t payload_len = 0,
+                               std::uint32_t shard = 0) {
+  FrameHeader h;
+  h.payload_len = static_cast<std::uint32_t>(payload_len);
+  h.tag = tag;
+  h.flags = kFlagControl;
+  h.src_lp = shard;
+  h.send_ns = mono_ns();
+  return h;
 }
 
 }  // namespace
@@ -1647,61 +1410,52 @@ EngineRunResult DistributedEngine::run(const std::vector<LpRunner*>& lps,
   }
 
   try {
-    // Phase 1: accept every worker and read its HELLO (always the first
-    // frame on the stream, payload = that worker's peer listener port) to
-    // map connection -> shard. Only once ALL HELLOs are in can the peer
-    // directory be assembled, so the HELLO-ACKs — stamped with our clock
-    // for the offset estimate and carrying the directory — go out in a
-    // second sweep.
-    std::vector<Conn> conns(num_shards);
-    std::vector<int> shard_conn(num_shards, -1);  // shard -> index in conns
+    // Coordinator streams, index = shard. Writes are queued and never block:
+    // a worker's blocking write to us always makes progress. A failed flush
+    // is not acted on; a dead worker shows up as EOF on its stream.
+    std::vector<FrameStream> streams(num_shards);
+    const auto send_to = [&](std::uint32_t s, const FrameHeader& h,
+                             const std::uint8_t* payload) {
+      streams[s].queue(h, payload);
+      static_cast<void>(streams[s].flush());
+    };
+
+    // Phase 1, the handshake: accept every worker and read its HELLO (always
+    // the first frame on the stream, payload = that worker's peer listener
+    // port) to map connection -> shard. Only once ALL HELLOs are in can the
+    // peer directory be assembled, so the HELLO-ACKs — stamped with our
+    // clock for the offset estimate and carrying the directory — go out in
+    // a second sweep. Recovery replays both steps for the replacement alone.
     std::vector<std::uint16_t> peer_ports(num_shards, 0);
-    for (std::uint32_t i = 0; i < num_shards; ++i) {
-      int fd;
-      do {
-        fd = ::accept(listen_fd, nullptr, nullptr);
-      } while (fd < 0 && errno == EINTR);
-      if (fd < 0) {
-        throw_errno("accept");
-      }
-      std::uint8_t raw[kFrameHeaderBytes];
-      if (!read_exact(fd, raw, kFrameHeaderBytes)) {
-        throw std::runtime_error("worker disconnected before HELLO");
-      }
-      const FrameHeader hello = decode_frame_header(raw);
+    const auto accept_hello = [&] {
+      FrameStream stream = accept_stream(listen_fd);
+      std::vector<std::uint8_t> port_raw;
+      const FrameHeader hello = stream.read_frame(port_raw, "HELLO");
       OTW_REQUIRE_MSG(hello.tag == kTagHello && hello.payload_len == 2,
                       "first frame on a worker stream must be HELLO");
-      OTW_REQUIRE_MSG(hello.src_lp < num_shards && shard_conn[hello.src_lp] < 0,
-                      "duplicate or out-of-range shard HELLO");
-      std::uint8_t port_raw[2];
-      if (!read_exact(fd, port_raw, 2)) {
-        throw std::runtime_error("worker disconnected mid HELLO");
+      OTW_REQUIRE_MSG(
+          hello.src_lp < num_shards && !streams[hello.src_lp].is_open(),
+          "duplicate or out-of-range shard HELLO");
+      std::memcpy(&peer_ports[hello.src_lp], port_raw.data(), 2);
+      streams[hello.src_lp] = std::move(stream);
+    };
+    const auto send_hello_ack = [&](std::uint32_t s) {
+      std::vector<std::uint8_t> dir;
+      WireWriter w(dir);
+      w.u32(num_shards);
+      for (const std::uint16_t p : peer_ports) {
+        w.u16(p);
       }
-      std::memcpy(&peer_ports[hello.src_lp], port_raw, 2);
-      set_nodelay(fd);
-      conns[i].fd = fd;
-      conns[i].shard = hello.src_lp;
-      shard_conn[hello.src_lp] = static_cast<int>(i);
+      send_to(s, coordinator_header(kTagHelloAck, dir.size(), s), dir.data());
+    };
+    for (std::uint32_t i = 0; i < num_shards; ++i) {
+      accept_hello();
     }
     if (!fault_on) {
       ::close(listen_fd);  // fault keeps it: a replacement worker must HELLO
     }
-    std::vector<std::uint8_t> dir;
-    {
-      WireWriter w(dir);
-      w.u32(num_shards);
-      for (std::uint32_t s = 0; s < num_shards; ++s) {
-        w.u16(peer_ports[s]);
-      }
-    }
-    for (Conn& conn : conns) {
-      FrameHeader ack;
-      ack.payload_len = static_cast<std::uint32_t>(dir.size());
-      ack.tag = kTagHelloAck;
-      ack.src_lp = conn.shard;
-      ack.send_ns = mono_ns();
-      send_frame(conn.fd, ack, dir.data());  // still blocking: writes through
-      set_nonblocking(conn.fd);
+    for (std::uint32_t s = 0; s < num_shards; ++s) {
+      send_hello_ack(s);
     }
 
     // Control-plane state: the authoritative owner map (placement + applied
@@ -1713,6 +1467,10 @@ EngineRunResult DistributedEngine::run(const std::vector<LpRunner*>& lps,
     bool migration_inflight = false;
     bool any_done = false;
     bool finish_sent = false;
+    std::uint32_t results = 0;              ///< RESULT frames received
+    std::vector<bool> has_result(num_shards, false);
+    /// migrations_in of each shard's latest DONE; empty while none is current.
+    std::vector<std::optional<std::uint64_t>> done_in(num_shards);
     const std::uint64_t decide_period_ns =
         static_cast<std::uint64_t>(migration.period_ms) * 1'000'000;
     std::uint64_t next_decide_ns =
@@ -1751,23 +1509,12 @@ EngineRunResult DistributedEngine::run(const std::vector<LpRunner*>& lps,
     std::uint64_t next_snap_ns = fault_on ? mono_ns() + initial_gap_ns : kNever;
     bool inject_done = false;
 
-    const auto flush_c = [&](Conn& conn) {
-      if (fault_on) {
-        // A worker SIGKILLed mid-write must not take the coordinator down;
-        // its queued bytes die with the incarnation once recovery runs.
-        static_cast<void>(flush_out_tolerant(conn.fd, conn.out, conn.out_pos));
-      } else {
-        flush_conn(conn);
-      }
-    };
     const auto broadcast = [&](const FrameHeader& h,
                                const std::uint8_t* payload) {
-      for (Conn& conn : conns) {
-        if (conn.done) {
-          continue;
+      for (std::uint32_t s = 0; s < num_shards; ++s) {
+        if (!has_result[s]) {
+          send_to(s, h, payload);
         }
-        queue_frame(conn.out, h, payload);
-        flush_c(conn);
       }
     };
     // FINISH once every worker's latest DONE is present and its reported
@@ -1779,16 +1526,12 @@ EngineRunResult DistributedEngine::run(const std::vector<LpRunner*>& lps,
           snap_phase != SnapPhase::Idle) {
         return;
       }
-      for (const Conn& conn : conns) {
-        if (!conn.done_valid ||
-            conn.done_migrations_in != expected_in[conn.shard]) {
+      for (std::uint32_t s = 0; s < num_shards; ++s) {
+        if (done_in[s] != expected_in[s]) {
           return;
         }
       }
-      FrameHeader fin;
-      fin.tag = kTagFinish;
-      fin.flags = kFlagControl;
-      broadcast(fin, nullptr);
+      broadcast(coordinator_header(kTagFinish), nullptr);
       finish_sent = true;
     };
 
@@ -1798,12 +1541,7 @@ EngineRunResult DistributedEngine::run(const std::vector<LpRunner*>& lps,
       WireWriter w(p);
       w.u8(code);
       w.u32(epoch);
-      FrameHeader h;
-      h.payload_len = static_cast<std::uint32_t>(p.size());
-      h.tag = kTagSnapCtl;
-      h.flags = kFlagControl;
-      h.send_ns = mono_ns();
-      broadcast(h, p.data());
+      broadcast(coordinator_header(kTagSnapCtl, p.size()), p.data());
     };
     const auto begin_poll_round = [&] {
       std::fill(snap_reported.begin(), snap_reported.end(), false);
@@ -1890,13 +1628,18 @@ EngineRunResult DistributedEngine::run(const std::vector<LpRunner*>& lps,
         ::kill(children[victim], SIGKILL);
       }
     };
-    // A worker died (EOF): fork a replacement, replay the handshake, restore
-    // it from the last complete cut, and roll every survivor back to that
-    // cut. The world is frozen until all num_shards RECOVERED frames arrive.
-    const auto run_recovery = [&](std::uint32_t ci) {
-      Conn& dead_conn = conns[ci];
-      const std::uint32_t dead = dead_conn.shard;
-      const std::uint64_t t0 = mono_ns();
+    // Recovery (DESIGN.md 8c) is a phase of the control loop below. A worker
+    // died (EOF): begin_recovery forks a replacement, replays the handshake,
+    // queues it the last complete cut and tells every survivor to roll back
+    // to that cut. While `recovering` RECOVERED frames are still owed, the
+    // loop handles only RECOVERED, STATS and TIME; everything else belongs to
+    // the dead incarnation and is dropped, and any EOF is a fatal double
+    // fault. The last RECOVERED resumes the cluster.
+    std::uint32_t recovering = 0;
+    std::uint64_t recovery_started_ns = 0;
+    RecoveryIncident incident;
+    const auto begin_recovery = [&](std::uint32_t dead) {
+      recovery_started_ns = mono_ns();
       // Whatever snapshot phase was in flight can no longer complete; the
       // workers discard their pending blobs when RECOVER arrives.
       snap_phase = SnapPhase::Idle;
@@ -1907,11 +1650,7 @@ EngineRunResult DistributedEngine::run(const std::vector<LpRunner*>& lps,
       }
       ::waitpid(children[dead], nullptr, 0);
       children[dead] = -1;
-      ::close(dead_conn.fd);
-      dead_conn.fd = -1;
-      dead_conn.in.clear();
-      dead_conn.out.clear();
-      dead_conn.out_pos = 0;
+      streams[dead].close();
       // The cut blob for the lost shard, from memory or the spill file. Copy
       // (not move) out of last_cut: a second failure may need it again.
       std::vector<std::uint8_t> blob;
@@ -1923,9 +1662,9 @@ EngineRunResult DistributedEngine::run(const std::vector<LpRunner*>& lps,
         OTW_REQUIRE_MSG(img.epoch == last_cut.epoch,
                         "spilled snapshot names a different epoch");
         restore_gvt = img.gvt_ticks;
-        for (SnapshotShardBlob& s : img.shards) {
-          if (s.shard == dead) {
-            blob = std::move(s.blob);
+        for (SnapshotShardBlob& sb : img.shards) {
+          if (sb.shard == dead) {
+            blob = std::move(sb.blob);
           }
         }
       }
@@ -1937,72 +1676,28 @@ EngineRunResult DistributedEngine::run(const std::vector<LpRunner*>& lps,
       }
       if (pid == 0) {
         ::close(listen_fd);
-        for (Conn& c : conns) {
-          if (c.fd >= 0) {
-            ::close(c.fd);
-          }
+        for (FrameStream& stream : streams) {
+          stream.close();
         }
         worker_main(dead, config_, lps, port, harvest, live, /*fault=*/true,
                     /*recover=*/true);  // never returns
       }
       children[dead] = pid;
-      // Replay phase 1 for the replacement alone: HELLO in, directory out.
-      int nfd;
-      do {
-        nfd = ::accept(listen_fd, nullptr, nullptr);
-      } while (nfd < 0 && errno == EINTR);
-      if (nfd < 0) {
-        throw_errno("accept (recovery)");
-      }
-      std::uint8_t raw[kFrameHeaderBytes];
-      if (!read_exact(nfd, raw, kFrameHeaderBytes)) {
-        throw std::runtime_error("replacement worker died before HELLO");
-      }
-      const FrameHeader hello = decode_frame_header(raw);
-      OTW_REQUIRE_MSG(hello.tag == kTagHello && hello.payload_len == 2 &&
-                          hello.src_lp == dead,
-                      "expected the replacement worker's HELLO");
-      std::uint8_t port_raw[2];
-      if (!read_exact(nfd, port_raw, 2)) {
-        throw std::runtime_error("replacement worker died mid HELLO");
-      }
-      std::uint16_t new_port = 0;
-      std::memcpy(&new_port, port_raw, 2);
-      peer_ports[dead] = new_port;
-      set_nodelay(nfd);
-      dead_conn.fd = nfd;
-      std::vector<std::uint8_t> dir2;
-      {
-        WireWriter w(dir2);
-        w.u32(num_shards);
-        for (std::uint32_t s = 0; s < num_shards; ++s) {
-          w.u16(peer_ports[s]);
-        }
-      }
-      FrameHeader ack;
-      ack.payload_len = static_cast<std::uint32_t>(dir2.size());
-      ack.tag = kTagHelloAck;
-      ack.src_lp = dead;
-      ack.send_ns = mono_ns();
-      send_frame(nfd, ack, dir2.data());  // still blocking: writes through
-      // RESTORE is queued non-blocking: the blob can exceed the socket
-      // buffer, and the replacement only reads it after accepting the
-      // survivors' re-dials — a blocking write here could jam forever.
+      // Only the dead shard's stream is closed, so its replacement is the
+      // one HELLO accept_hello() can admit.
+      accept_hello();
+      send_hello_ack(dead);
+      // RESTORE follows the ACK; queued like every coordinator write, since
+      // the blob can exceed the socket buffer and the replacement reads it
+      // only after accepting the survivors' re-dials.
       {
         std::vector<std::uint8_t> p;
         WireWriter w(p);
         w.u32(last_cut.epoch);
         w.u64(restore_gvt);
         w.bytes(blob.data(), blob.size());
-        FrameHeader h;
-        h.payload_len = static_cast<std::uint32_t>(p.size());
-        h.tag = kTagRestore;
-        h.flags = kFlagControl;
-        h.send_ns = mono_ns();
-        queue_frame(dead_conn.out, h, p.data());
+        send_to(dead, coordinator_header(kTagRestore, p.size()), p.data());
       }
-      set_nonblocking(nfd);
-      flush_c(dead_conn);
       // Tell the survivors: roll back to the cut, mark your links, re-dial
       // the new incarnation.
       {
@@ -2010,139 +1705,290 @@ EngineRunResult DistributedEngine::run(const std::vector<LpRunner*>& lps,
         WireWriter w(p);
         w.u32(last_cut.epoch);
         w.u32(dead);
-        w.u16(new_port);
-        FrameHeader h;
-        h.payload_len = static_cast<std::uint32_t>(p.size());
-        h.tag = kTagRecover;
-        h.flags = kFlagControl;
-        h.send_ns = mono_ns();
-        for (Conn& c : conns) {
-          if (c.shard == dead) {
-            continue;
-          }
-          queue_frame(c.out, h, p.data());
-          flush_c(c);
-        }
-      }
-      // Mini relay loop until every shard (survivors + replacement) reports
-      // RECOVERED. Anything relayable in flight belongs to the dead
-      // incarnation's future and is dropped — the restored cut predates it.
-      std::uint32_t recovered = 0;
-      std::vector<pollfd> rfds(num_shards);
-      while (recovered < num_shards) {
-        for (std::uint32_t k = 0; k < num_shards; ++k) {
-          rfds[k].fd = conns[k].fd;
-          rfds[k].events = static_cast<short>(
-              POLLIN | (conns[k].out_pending() ? POLLOUT : 0));
-          rfds[k].revents = 0;
-        }
-        const int prc = ::poll(rfds.data(), rfds.size(), 1000);
-        if (prc < 0) {
-          if (errno == EINTR) {
-            continue;
-          }
-          throw_errno("poll (recovery)");
-        }
-        for (std::uint32_t k = 0; k < num_shards; ++k) {
-          Conn& c = conns[k];
-          if ((rfds[k].revents & POLLOUT) != 0) {
-            flush_c(c);
-          }
-          if ((rfds[k].revents & (POLLIN | POLLHUP | POLLERR)) == 0) {
-            continue;
-          }
-          std::uint8_t chunk[16384];
-          bool died = false;
-          for (;;) {
-            const ssize_t n = ::recv(c.fd, chunk, sizeof chunk, 0);
-            if (n > 0) {
-              c.in.insert(c.in.end(), chunk, chunk + n);
-              continue;
-            }
-            if (n == 0) {
-              died = true;
-              break;
-            }
-            if (errno == EAGAIN || errno == EWOULDBLOCK) {
-              break;
-            }
-            if (errno == EINTR) {
-              continue;
-            }
-            died = true;
-            break;
-          }
-          std::size_t pos = 0;
-          while (c.in.size() - pos >= kFrameHeaderBytes) {
-            const FrameHeader h2 = decode_frame_header(c.in.data() + pos);
-            if (c.in.size() - pos < kFrameHeaderBytes + h2.payload_len) {
-              break;
-            }
-            const std::uint8_t* f2 = c.in.data() + pos;
-            if (h2.tag == kTagRecovered) {
-              ++recovered;
-            } else if (h2.tag == kTagStats) {
-              if (live.on_stats) {
-                live.on_stats(c.shard, f2 + kFrameHeaderBytes, h2.payload_len);
-              }
-              ++result.dist.stats_frames;
-            } else if (h2.tag == kTagTime) {
-              FrameHeader echo;
-              echo.payload_len = 8;
-              echo.tag = kTagTime;
-              echo.flags = kFlagControl;
-              echo.src_lp = c.shard;
-              echo.send_ns = mono_ns();
-              std::uint8_t echo_frame[kFrameHeaderBytes + 8];
-              encode_frame_header(echo, echo_frame);
-              std::memcpy(echo_frame + kFrameHeaderBytes, &h2.send_ns, 8);
-              c.out.insert(c.out.end(), echo_frame,
-                           echo_frame + sizeof echo_frame);
-              flush_c(c);
-            }
-            // else: dropped (stale SNAP_ACK/SNAP_DATA/DONE, relayed GVT
-            // frames of the dead incarnation).
-            pos += kFrameHeaderBytes + h2.payload_len;
-          }
-          c.in.erase(c.in.begin(),
-                     c.in.begin() + static_cast<std::ptrdiff_t>(pos));
-          if (died) {
-            throw std::runtime_error(
-                "shard " + std::to_string(c.shard) +
-                " died during recovery (double fault is fatal)");
+        w.u16(peer_ports[dead]);
+        const FrameHeader h = coordinator_header(kTagRecover, p.size());
+        for (std::uint32_t s = 0; s < num_shards; ++s) {
+          if (s != dead) {
+            send_to(s, h, p.data());
           }
         }
       }
-      // Every shard is frozen at the cut: stale endgame state is void.
-      for (Conn& c : conns) {
-        c.done_valid = false;
-        c.done_migrations_in = 0;
-      }
-      any_done = false;
-      RecoveryIncident incident;
+      incident = RecoveryIncident{};
       incident.epoch = last_cut.epoch;
       incident.lost_shard = dead;
-      incident.restore_ns = mono_ns() - t0;
       incident.bytes = blob.size();
       incident.gvt_ticks = restore_gvt;
+      recovering = num_shards;
+    };
+    const auto end_recovery = [&] {
+      // Every shard is frozen at the cut: stale endgame state is void.
+      for (std::optional<std::uint64_t>& d : done_in) {
+        d.reset();
+      }
+      any_done = false;
+      incident.restore_ns = mono_ns() - recovery_started_ns;
       result.recoveries.push_back(incident);
       broadcast_snap_ctl(kSnapResume, last_cut.epoch);
       next_snap_ns = mono_ns() + initial_gap_ns;
     };
 
+    // One frame from shard `s`. Returns false to stop parsing its stream
+    // (nothing after a RESULT matters).
+    const auto on_frame = [&](std::uint32_t s, const FrameHeader& header,
+                              const std::uint8_t* frame) -> bool {
+      const std::uint8_t* payload = frame + kFrameHeaderBytes;
+      if (header.tag == kTagStats) {
+        // Live health snapshot: absorbed here, never relayed.
+        if (live.on_stats) {
+          live.on_stats(s, payload, header.payload_len);
+        }
+        ++result.dist.stats_frames;
+      } else if (header.tag == kTagTime) {
+        // Clock refresh ping: echo the worker's raw t0 back alongside our
+        // own clock. Never relayed, never counted as data.
+        std::uint8_t t0[8];
+        std::memcpy(t0, &header.send_ns, 8);
+        send_to(s, coordinator_header(kTagTime, 8, s), t0);
+      } else if (header.tag == kTagRecovered) {
+        // Outside a recovery: a straggler from a window that already closed.
+        OTW_REQUIRE_MSG(fault_on, "unexpected RECOVERED frame");
+        if (recovering > 0 && --recovering == 0) {
+          end_recovery();
+        }
+      } else if (recovering > 0) {
+        // Dropped: stale SNAP_ACK/SNAP_DATA/DONE and relayed GVT frames of
+        // the dead incarnation; the restored cut predates them.
+      } else if (header.tag == kTagResult) {
+        WireReader reader(payload, header.payload_len);
+        ShardTotals totals;
+        reader.bytes(&totals, sizeof totals);
+        result.steps += totals.steps;
+        result.physical_messages += totals.physical_messages;
+        result.wire_bytes += totals.wire_bytes;
+        result.dist.add(totals.dist);
+        const std::uint32_t blob_len = reader.u32();
+        payloads_[s].resize(blob_len);
+        reader.bytes(payloads_[s].data(), blob_len);
+        // Clock alignment: shift = (worker epoch in coordinator domain) - our
+        // run start. Adding it to a driver-relative timestamp yields a
+        // coordinator-run-relative one.
+        const std::uint64_t epoch_ns = reader.u64();
+        ShardClock clock;
+        clock.offset_ns = static_cast<std::int64_t>(reader.u64());
+        clock.rtt_ns = reader.u64();
+        result.shard_clocks[s] = clock;
+        const std::int64_t shift = static_cast<std::int64_t>(epoch_ns) +
+                                   clock.offset_ns -
+                                   static_cast<std::int64_t>(t_start);
+        result.shard_trace_shift_ns[s] = shift;
+        std::vector<std::uint8_t> hists(reader.u32());
+        reader.bytes(hists.data(), hists.size());
+        std::size_t hists_pos = 0;
+        OTW_REQUIRE_MSG(obs::live::decode_hists(hists.data(), hists.size(),
+                                                hists_pos, s, result.hists) &&
+                            hists_pos == hists.size(),
+                        "RESULT carries a malformed histogram section");
+        obs::LpTraceLog wire_log;
+        wire_log.lp = s;
+        wire_log.dropped = reader.u64();
+        wire_log.name = "shard " + std::to_string(s) + " wire";
+        const std::uint32_t n_records = reader.u32();
+        wire_log.records.resize(n_records);
+        reader.bytes(wire_log.records.data(),
+                     n_records * sizeof(obs::TraceRecord));
+        for (obs::TraceRecord& rec : wire_log.records) {
+          const std::int64_t shifted =
+              static_cast<std::int64_t>(rec.wall_ns) + shift;
+          rec.wall_ns = shifted > 0 ? static_cast<std::uint64_t>(shifted) : 0;
+        }
+        if (n_records > 0 || wire_log.dropped > 0) {
+          result.worker_traces.push_back(std::move(wire_log));
+        }
+        has_result[s] = true;
+        ++results;
+        return false;
+      } else if (header.tag == kTagDone) {
+        OTW_REQUIRE_MSG(header.payload_len == 8, "malformed DONE frame");
+        std::uint64_t migrations_in = 0;
+        std::memcpy(&migrations_in, payload, 8);
+        done_in[s] = migrations_in;
+        any_done = true;
+        if (fault_on && snap_phase != SnapPhase::Idle) {
+          // A shard finished before our Stop reached it (its DONE precedes
+          // its settle ACKs in stream order, so we always see it before the
+          // cut fires). Cutting would roll completion back — drop the epoch
+          // instead; the run is nearly over.
+          abort_epoch();
+        }
+        try_finish();
+      } else if (header.tag == kTagMigrated) {
+        OTW_REQUIRE_MSG(migration_inflight, "unexpected MIGRATED frame");
+        WireReader reader(payload, header.payload_len);
+        const LpId lp = reader.u32();
+        const std::uint32_t to = reader.u32();
+        const std::uint32_t epoch = reader.u32();
+        const std::uint8_t accepted = reader.u8();
+        OTW_REQUIRE_MSG(reader.done() && lp < lps.size() && to < num_shards,
+                        "malformed MIGRATED frame");
+        migration_inflight = false;
+        if (accepted != 0) {
+          ++result.dist.migrations;
+          if (epoch > epochs[lp]) {
+            epochs[lp] = epoch;
+            owners[lp] = to;
+          }
+          ++expected_in[to];
+          std::vector<std::uint8_t> rebind;
+          WireWriter w(rebind);
+          w.u32(lp);
+          w.u32(to);
+          w.u32(epoch);
+          FrameHeader h = coordinator_header(kTagRebind, rebind.size());
+          h.dst_lp = lp;
+          broadcast(h, rebind.data());
+        }
+        try_finish();
+      } else if (header.tag == kTagSnapAck) {
+        OTW_REQUIRE_MSG(fault_on && header.payload_len == 21,
+                        "unexpected SNAP_ACK frame");
+        WireReader reader(payload, header.payload_len);
+        const std::uint8_t kind = reader.u8();
+        const std::uint64_t a = reader.u64();
+        const std::uint64_t b = reader.u64();
+        // Round id for counters ACKs, epoch for accept/decline.
+        const std::uint32_t seq = reader.u32();
+        if (kind == kSnapAckCounters && seq == snap_poll_round &&
+            (snap_phase == SnapPhase::Settle ||
+             snap_phase == SnapPhase::Resettle)) {
+          if (!snap_reported[s]) {
+            snap_reported[s] = true;
+            ++snap_report_count;
+          }
+          snap_counts[s] = {a, b};
+          if (snap_report_count == num_shards) {
+            // Quiescent iff the counter vector repeated across two rounds
+            // AND is globally balanced: repetition alone can be a
+            // coincidence of in-flight frames, balance alone can hold while
+            // frames are still moving.
+            bool identical = snap_have_prev;
+            std::uint64_t sum_sent = 0;
+            std::uint64_t sum_recv = 0;
+            for (std::uint32_t k = 0; k < num_shards; ++k) {
+              sum_sent += snap_counts[k].first;
+              sum_recv += snap_counts[k].second;
+              if (identical && snap_counts[k] != snap_prev[k]) {
+                identical = false;
+              }
+            }
+            if (identical && sum_sent == sum_recv) {
+              snap_have_prev = false;
+              if (snap_phase == SnapPhase::Settle) {
+                snap_phase = SnapPhase::Cut;
+                cut_acks = 0;
+                cut_declined = false;
+                cut_gvt = 0;
+                broadcast_snap_ctl(kSnapCut, snap_epoch);
+              } else {
+                snap_phase = SnapPhase::Serialize;
+                snap_data_count = 0;
+                broadcast_snap_ctl(kSnapSerialize, snap_epoch);
+              }
+            } else {
+              snap_prev = snap_counts;
+              snap_have_prev = true;
+              begin_poll_round();
+            }
+          }
+        } else if ((kind == kSnapAckAccept || kind == kSnapAckDecline) &&
+                   snap_phase == SnapPhase::Cut && seq == snap_epoch) {
+          ++cut_acks;
+          if (kind == kSnapAckDecline) {
+            cut_declined = true;
+          } else {
+            OTW_REQUIRE_MSG(cut_gvt == 0 || cut_gvt == a,
+                            "shards disagree on the cut GVT");
+            cut_gvt = a;
+          }
+          if (cut_acks == num_shards) {
+            if (cut_declined) {
+              // Some shard cannot cut here (done, or GVT still 0); nothing
+              // was mutated — retry after the initial gap.
+              abort_epoch();
+            } else {
+              // The cut's rollbacks flushed fresh sends; settle again
+              // before asking anyone to serialize.
+              snap_phase = SnapPhase::Resettle;
+              snap_have_prev = false;
+              begin_poll_round();
+            }
+          }
+        }
+        // Stale ACKs (a recovery voided the epoch mid-flight) drop here.
+      } else if (header.tag == kTagSnapData) {
+        OTW_REQUIRE_MSG(fault_on && header.payload_len >= 12,
+                        "unexpected SNAP_DATA frame");
+        WireReader reader(payload, header.payload_len);
+        const std::uint32_t epoch = reader.u32();
+        const std::uint64_t gvt = reader.u64();
+        if (snap_phase == SnapPhase::Serialize && epoch == snap_epoch) {
+          OTW_REQUIRE_MSG(gvt == cut_gvt,
+                          "SNAP_DATA disagrees with the cut GVT");
+          auto& blob = snap_blobs[s];
+          blob.resize(reader.remaining());
+          reader.bytes(blob.data(), blob.size());
+          if (++snap_data_count == num_shards) {
+            finalize_epoch();
+          }
+        }
+        // Stale epochs (voided by a recovery) drop here.
+      } else {
+        OTW_REQUIRE_MSG(header.tag < kReservedTagBase,
+                        "unexpected control frame from worker");
+        // The data plane bypasses the coordinator entirely; only
+        // control-plane (GVT) frames are relayed here.
+        OTW_REQUIRE_MSG((header.flags & kFlagControl) != 0,
+                        "data frame on a coordinator stream");
+        OTW_REQUIRE(header.dst_lp < lps.size());
+        const std::uint32_t dst_shard = owners[header.dst_lp];
+        OTW_REQUIRE(dst_shard < num_shards);
+        const std::size_t frame_len = kFrameHeaderBytes + header.payload_len;
+        streams[dst_shard].queue_raw(frame, frame_len);
+        static_cast<void>(streams[dst_shard].flush());
+        ++result.dist.frames_relayed;
+        if (live.bank != nullptr || live.on_relay) {
+          // Relay residency: origin encode -> queued for the destination
+          // (the upstream half of the end-to-end link latency).
+          const std::uint64_t now = mono_ns();
+          if (live.bank != nullptr) {
+            live.bank->record_link(
+                obs::hist::Seam::RelayResidency, s, dst_shard,
+                now > header.send_ns ? now - header.send_ns : 0);
+          }
+          if (live.on_relay) {
+            live.on_relay(s, dst_shard, header.tag,
+                          static_cast<std::uint32_t>(frame_len),
+                          header.send_ns, now);
+          }
+        }
+      }
+      return true;
+    };
+
     // Phase 2: control loop. Only control frames arrive here — GVT
     // tokens/announces, relayed by the owner map — plus the termination,
-    // migration and snapshot protocols (DONE/MIGRATED/SNAP_* in,
-    // MIGRATE_CMD/REBIND/FINISH/SNAP_CTL out).
-    std::uint32_t results = 0;
+    // migration, snapshot and recovery protocols (DONE/MIGRATED/SNAP_*/
+    // RECOVERED in, MIGRATE_CMD/REBIND/FINISH/SNAP_CTL/RECOVER out).
     std::vector<pollfd> pfds(num_shards);
     while (results < num_shards) {
-      for (std::uint32_t i = 0; i < num_shards; ++i) {
-        pfds[i].fd = conns[i].done ? -1 : conns[i].fd;
-        pfds[i].events =
-            static_cast<short>(POLLIN | (conns[i].out_pending() ? POLLOUT : 0));
-        pfds[i].revents = 0;
+      for (std::uint32_t s = 0; s < num_shards; ++s) {
+        pfds[s].fd = has_result[s] ? -1 : streams[s].fd();
+        pfds[s].events = static_cast<short>(
+            POLLIN | (streams[s].queued_bytes() > 0 ? POLLOUT : 0));
+        pfds[s].revents = 0;
       }
+      const bool may_snapshot = fault_on && recovering == 0 &&
+                                snap_phase == SnapPhase::Idle &&
+                                !finish_sent && !any_done && results == 0;
       int timeout_ms = -1;
       if (migration.enabled() && !any_done && !finish_sent &&
           !migration_inflight) {
@@ -2155,8 +2001,7 @@ EngineRunResult DistributedEngine::run(const std::vector<LpRunner*>& lps,
         // Capped so externally-requested kills (the watchdog path) are
         // noticed promptly even while every stream is quiet.
         int cap = kFaultPollCapMs;
-        if (snap_phase == SnapPhase::Idle && !finish_sent && !any_done &&
-            results == 0) {
+        if (may_snapshot) {
           const std::uint64_t now = mono_ns();
           const auto until_ms =
               next_snap_ns <= now
@@ -2173,20 +2018,17 @@ EngineRunResult DistributedEngine::run(const std::vector<LpRunner*>& lps,
         }
         throw_errno("poll (relay)");
       }
-      if (fault_on && fault.kill_request) {
+      if (fault_on && fault.kill_request && recovering == 0) {
         const std::int32_t victim = fault.kill_request->exchange(-1);
         // Honored only when a restorable cut exists and the run is still in
         // flight; otherwise the request is dropped (recovery would fail).
         if (victim >= 0 && static_cast<std::uint32_t>(victim) < num_shards &&
             have_cut && !finish_sent &&
-            !conns[static_cast<std::size_t>(
-                       shard_conn[static_cast<std::uint32_t>(victim)])]
-                 .done) {
+            !has_result[static_cast<std::uint32_t>(victim)]) {
           ::kill(children[static_cast<std::uint32_t>(victim)], SIGKILL);
         }
       }
-      if (fault_on && snap_phase == SnapPhase::Idle && !finish_sent &&
-          !any_done && results == 0 && mono_ns() >= next_snap_ns) {
+      if (may_snapshot && mono_ns() >= next_snap_ns) {
         snap_epoch = next_snap_epoch++;
         snap_started_ns = mono_ns();
         snap_phase = SnapPhase::Settle;
@@ -2210,332 +2052,50 @@ EngineRunResult DistributedEngine::run(const std::vector<LpRunner*>& lps,
           w.u32(d->lp);
           w.u32(d->to_shard);
           w.u32(next_epoch++);
-          FrameHeader h;
-          h.payload_len = static_cast<std::uint32_t>(cmd.size());
-          h.tag = kTagMigrateCmd;
-          h.flags = kFlagControl;
+          FrameHeader h = coordinator_header(kTagMigrateCmd, cmd.size());
           h.dst_lp = d->lp;
-          Conn& src =
-              conns[static_cast<std::size_t>(shard_conn[owners[d->lp]])];
-          queue_frame(src.out, h, cmd.data());
-          flush_conn(src);
+          send_to(owners[d->lp], h, cmd.data());
           migration_inflight = true;
         }
       }
-      for (std::uint32_t i = 0; i < num_shards; ++i) {
-        Conn& conn = conns[i];
-        if (conn.done) {
+      for (std::uint32_t s = 0; s < num_shards; ++s) {
+        if (has_result[s]) {
           continue;
         }
-        if ((pfds[i].revents & POLLOUT) != 0) {
-          flush_c(conn);
+        FrameStream& stream = streams[s];
+        if ((pfds[s].revents & POLLOUT) != 0) {
+          static_cast<void>(stream.flush());
         }
-        if ((pfds[i].revents & (POLLIN | POLLHUP | POLLERR)) == 0) {
+        if ((pfds[s].revents & (POLLIN | POLLHUP | POLLERR)) == 0) {
           continue;
         }
-        std::uint8_t chunk[16384];
-        bool eof = false;
-        for (;;) {
-          const ssize_t n = ::recv(conn.fd, chunk, sizeof chunk, 0);
-          if (n > 0) {
-            conn.in.insert(conn.in.end(), chunk, chunk + n);
-            continue;
-          }
-          if (n == 0) {
-            // The worker may close right after its RESULT; the frame may
-            // still be sitting unparsed in conn.in, so only fail after
-            // parsing.
-            eof = true;
-            break;
-          }
-          if (errno == EAGAIN || errno == EWOULDBLOCK) {
-            break;
-          }
-          if (errno == EINTR) {
-            continue;
-          }
-          if (fault_on && errno == ECONNRESET) {
-            // A SIGKILLed worker resets rather than closing; same as EOF
-            // for the recovery path below.
-            eof = true;
-            break;
-          }
-          throw_errno("recv (relay)");
+        // Parse before acting on EOF: a worker may close right after its
+        // RESULT, which may still sit unparsed in the stream.
+        const bool open = stream.receive();
+        stream.parse([&](const FrameHeader& header, const std::uint8_t* frame) {
+          return on_frame(s, header, frame);
+        });
+        if (open || has_result[s]) {
+          continue;
         }
-        // Parse complete frames from this connection, in arrival order.
-        std::size_t pos = 0;
-        while (!conn.done && conn.in.size() - pos >= kFrameHeaderBytes) {
-          const FrameHeader header = decode_frame_header(conn.in.data() + pos);
-          if (conn.in.size() - pos < kFrameHeaderBytes + header.payload_len) {
-            break;
-          }
-          const std::uint8_t* frame = conn.in.data() + pos;
-          const std::size_t frame_len = kFrameHeaderBytes + header.payload_len;
-          if (header.tag == kTagResult) {
-            WireReader reader(frame + kFrameHeaderBytes, header.payload_len);
-            ShardTotals totals;
-            reader.bytes(&totals, sizeof totals);
-            result.steps += totals.steps;
-            result.physical_messages += totals.physical_messages;
-            result.wire_bytes += totals.wire_bytes;
-            result.dist.add(totals.dist);
-            const std::uint32_t blob_len = reader.u32();
-            payloads_[conn.shard].resize(blob_len);
-            reader.bytes(payloads_[conn.shard].data(), blob_len);
-            // Clock alignment: shift = (worker epoch in coordinator domain)
-            // - our run start. Adding it to a driver-relative timestamp
-            // yields a coordinator-run-relative one.
-            const std::uint64_t epoch_ns = reader.u64();
-            ShardClock clock;
-            clock.offset_ns = static_cast<std::int64_t>(reader.u64());
-            clock.rtt_ns = reader.u64();
-            result.shard_clocks[conn.shard] = clock;
-            const std::int64_t shift =
-                static_cast<std::int64_t>(epoch_ns) + clock.offset_ns -
-                static_cast<std::int64_t>(t_start);
-            result.shard_trace_shift_ns[conn.shard] = shift;
-            std::vector<std::uint8_t> hists(reader.u32());
-            reader.bytes(hists.data(), hists.size());
-            std::size_t hists_pos = 0;
-            OTW_REQUIRE_MSG(
-                obs::live::decode_hists(hists.data(), hists.size(), hists_pos,
-                                        conn.shard, result.hists) &&
-                    hists_pos == hists.size(),
-                "RESULT carries a malformed histogram section");
-            obs::LpTraceLog wire_log;
-            wire_log.lp = conn.shard;
-            wire_log.dropped = reader.u64();
-            wire_log.name = "shard " + std::to_string(conn.shard) + " wire";
-            const std::uint32_t n_records = reader.u32();
-            wire_log.records.resize(n_records);
-            reader.bytes(wire_log.records.data(),
-                         n_records * sizeof(obs::TraceRecord));
-            for (obs::TraceRecord& rec : wire_log.records) {
-              const std::int64_t shifted =
-                  static_cast<std::int64_t>(rec.wall_ns) + shift;
-              rec.wall_ns =
-                  shifted > 0 ? static_cast<std::uint64_t>(shifted) : 0;
-            }
-            if (n_records > 0 || wire_log.dropped > 0) {
-              result.worker_traces.push_back(std::move(wire_log));
-            }
-            conn.done = true;
-            ++results;
-          } else if (header.tag == kTagStats) {
-            // Live health snapshot: absorbed here, never relayed. The hook
-            // may legitimately be absent (a stale child racing shutdown
-            // cannot happen — workers only stream while running — but a
-            // defensive null check costs nothing).
-            if (live.on_stats) {
-              live.on_stats(conn.shard, frame + kFrameHeaderBytes,
-                            header.payload_len);
-            }
-            ++result.dist.stats_frames;
-          } else if (header.tag == kTagTime) {
-            // Clock refresh ping: echo the worker's raw t0 back alongside
-            // our own clock. Never relayed, never counted as data.
-            FrameHeader echo;
-            echo.payload_len = 8;
-            echo.tag = kTagTime;
-            echo.flags = kFlagControl;
-            echo.src_lp = conn.shard;
-            echo.send_ns = mono_ns();
-            std::uint8_t echo_frame[kFrameHeaderBytes + 8];
-            encode_frame_header(echo, echo_frame);
-            std::memcpy(echo_frame + kFrameHeaderBytes, &header.send_ns, 8);
-            conn.out.insert(conn.out.end(), echo_frame,
-                            echo_frame + sizeof echo_frame);
-            flush_c(conn);
-          } else if (header.tag == kTagDone) {
-            OTW_REQUIRE_MSG(header.payload_len == 8, "malformed DONE frame");
-            conn.done_valid = true;
-            std::memcpy(&conn.done_migrations_in, frame + kFrameHeaderBytes, 8);
-            any_done = true;
-            if (fault_on && snap_phase != SnapPhase::Idle) {
-              // A shard finished before our Stop reached it (its DONE
-              // precedes its settle ACKs in stream order, so we always see
-              // it before the cut fires). Cutting would roll completion
-              // back — drop the epoch instead; the run is nearly over.
-              abort_epoch();
-            }
-            try_finish();
-          } else if (header.tag == kTagMigrated) {
-            OTW_REQUIRE_MSG(migration_inflight, "unexpected MIGRATED frame");
-            WireReader reader(frame + kFrameHeaderBytes, header.payload_len);
-            const LpId lp = reader.u32();
-            const std::uint32_t to = reader.u32();
-            const std::uint32_t epoch = reader.u32();
-            const std::uint8_t accepted = reader.u8();
-            OTW_REQUIRE_MSG(reader.done() && lp < lps.size() &&
-                                to < num_shards,
-                            "malformed MIGRATED frame");
-            migration_inflight = false;
-            if (accepted != 0) {
-              ++result.dist.migrations;
-              if (epoch > epochs[lp]) {
-                epochs[lp] = epoch;
-                owners[lp] = to;
-              }
-              ++expected_in[to];
-              std::vector<std::uint8_t> rebind;
-              WireWriter w(rebind);
-              w.u32(lp);
-              w.u32(to);
-              w.u32(epoch);
-              FrameHeader h;
-              h.payload_len = static_cast<std::uint32_t>(rebind.size());
-              h.tag = kTagRebind;
-              h.flags = kFlagControl;
-              h.dst_lp = lp;
-              broadcast(h, rebind.data());
-            }
-            try_finish();
-          } else if (header.tag == kTagSnapAck) {
-            OTW_REQUIRE_MSG(fault_on && header.payload_len == 21,
-                            "unexpected SNAP_ACK frame");
-            WireReader reader(frame + kFrameHeaderBytes, header.payload_len);
-            const std::uint8_t kind = reader.u8();
-            const std::uint64_t a = reader.u64();
-            const std::uint64_t b = reader.u64();
-            // Round id for counters ACKs, epoch for accept/decline.
-            const std::uint32_t seq = reader.u32();
-            if (kind == kSnapAckCounters && seq == snap_poll_round &&
-                (snap_phase == SnapPhase::Settle ||
-                 snap_phase == SnapPhase::Resettle)) {
-              if (!snap_reported[conn.shard]) {
-                snap_reported[conn.shard] = true;
-                ++snap_report_count;
-              }
-              snap_counts[conn.shard] = {a, b};
-              if (snap_report_count == num_shards) {
-                // Quiescent iff the counter vector repeated across two
-                // rounds AND is globally balanced: repetition alone can be a
-                // coincidence of in-flight frames, balance alone can hold
-                // while frames are still moving.
-                bool identical = snap_have_prev;
-                std::uint64_t sum_sent = 0;
-                std::uint64_t sum_recv = 0;
-                for (std::uint32_t s = 0; s < num_shards; ++s) {
-                  sum_sent += snap_counts[s].first;
-                  sum_recv += snap_counts[s].second;
-                  if (identical && snap_counts[s] != snap_prev[s]) {
-                    identical = false;
-                  }
-                }
-                if (identical && sum_sent == sum_recv) {
-                  snap_have_prev = false;
-                  if (snap_phase == SnapPhase::Settle) {
-                    snap_phase = SnapPhase::Cut;
-                    cut_acks = 0;
-                    cut_declined = false;
-                    cut_gvt = 0;
-                    broadcast_snap_ctl(kSnapCut, snap_epoch);
-                  } else {
-                    snap_phase = SnapPhase::Serialize;
-                    snap_data_count = 0;
-                    broadcast_snap_ctl(kSnapSerialize, snap_epoch);
-                  }
-                } else {
-                  snap_prev = snap_counts;
-                  snap_have_prev = true;
-                  begin_poll_round();
-                }
-              }
-            } else if ((kind == kSnapAckAccept || kind == kSnapAckDecline) &&
-                       snap_phase == SnapPhase::Cut && seq == snap_epoch) {
-              ++cut_acks;
-              if (kind == kSnapAckDecline) {
-                cut_declined = true;
-              } else {
-                OTW_REQUIRE_MSG(cut_gvt == 0 || cut_gvt == a,
-                                "shards disagree on the cut GVT");
-                cut_gvt = a;
-              }
-              if (cut_acks == num_shards) {
-                if (cut_declined) {
-                  // Some shard cannot cut here (done, or GVT still 0);
-                  // nothing was mutated — retry after the initial gap.
-                  abort_epoch();
-                } else {
-                  // The cut's rollbacks flushed fresh sends; settle again
-                  // before asking anyone to serialize.
-                  snap_phase = SnapPhase::Resettle;
-                  snap_have_prev = false;
-                  begin_poll_round();
-                }
-              }
-            }
-            // Stale ACKs (a recovery voided the epoch mid-flight) drop here.
-          } else if (header.tag == kTagSnapData) {
-            OTW_REQUIRE_MSG(fault_on && header.payload_len >= 12,
-                            "unexpected SNAP_DATA frame");
-            WireReader reader(frame + kFrameHeaderBytes, header.payload_len);
-            const std::uint32_t epoch = reader.u32();
-            const std::uint64_t gvt = reader.u64();
-            if (snap_phase == SnapPhase::Serialize && epoch == snap_epoch) {
-              OTW_REQUIRE_MSG(gvt == cut_gvt,
-                              "SNAP_DATA disagrees with the cut GVT");
-              auto& blob = snap_blobs[conn.shard];
-              blob.resize(reader.remaining());
-              reader.bytes(blob.data(), blob.size());
-              if (++snap_data_count == num_shards) {
-                finalize_epoch();
-              }
-            }
-            // Stale epochs (voided by a recovery) drop here.
-          } else if (header.tag == kTagRecovered) {
-            // A straggler from a recovery window that already closed.
-            OTW_REQUIRE_MSG(fault_on, "unexpected RECOVERED frame");
-          } else {
-            OTW_REQUIRE_MSG(header.tag < kReservedTagBase,
-                            "unexpected control frame from worker");
-            // The data plane bypasses the coordinator entirely; only
-            // control-plane (GVT) frames are relayed here.
-            OTW_REQUIRE_MSG((header.flags & kFlagControl) != 0,
-                            "data frame on a coordinator stream");
-            OTW_REQUIRE(header.dst_lp < lps.size());
-            const std::uint32_t dst_shard = owners[header.dst_lp];
-            OTW_REQUIRE(dst_shard < num_shards);
-            Conn& target = conns[static_cast<std::size_t>(shard_conn[dst_shard])];
-            target.out.insert(target.out.end(), frame, frame + frame_len);
-            flush_c(target);  // opportunistic; POLLOUT handles the rest
-            ++result.dist.frames_relayed;
-            if (live.bank != nullptr || live.on_relay) {
-              // Relay residency: origin encode -> queued for the destination
-              // (the upstream half of the end-to-end link latency).
-              const std::uint64_t now = mono_ns();
-              if (live.bank != nullptr) {
-                live.bank->record_link(
-                    obs::hist::Seam::RelayResidency, conn.shard, dst_shard,
-                    now > header.send_ns ? now - header.send_ns : 0);
-              }
-              if (live.on_relay) {
-                live.on_relay(conn.shard, dst_shard, header.tag,
-                              static_cast<std::uint32_t>(frame_len),
-                              header.send_ns, now);
-              }
-            }
-          }
-          pos += frame_len;
+        if (recovering > 0) {
+          throw std::runtime_error("shard " + std::to_string(s) +
+                                   " died during recovery (double fault is "
+                                   "fatal)");
         }
-        conn.in.erase(conn.in.begin(),
-                      conn.in.begin() + static_cast<std::ptrdiff_t>(pos));
-        if (eof && !conn.done) {
-          if (fault_on && have_cut && !finish_sent &&
-              result.recoveries.size() <
-                  static_cast<std::size_t>(fault.max_recoveries)) {
-            run_recovery(i);
-            continue;  // conn now points at the replacement's stream
-          }
-          throw std::runtime_error("shard " + std::to_string(conn.shard) +
-                                   " exited before reporting a result");
+        if (fault_on && have_cut && !finish_sent &&
+            result.recoveries.size() <
+                static_cast<std::size_t>(fault.max_recoveries)) {
+          begin_recovery(s);
+          continue;
         }
+        throw std::runtime_error("shard " + std::to_string(s) +
+                                 " exited before reporting a result");
       }
     }
 
-    for (Conn& conn : conns) {
-      ::close(conn.fd);  // workers linger on this close before exiting
-      conn.fd = -1;
+    for (FrameStream& stream : streams) {
+      stream.close();  // workers linger on this close before exiting
     }
     if (fault_on) {
       ::close(listen_fd);

@@ -14,6 +14,13 @@
 // non-overtaking guarantee the Time Warp kernel requires (an anti-message can
 // never overtake its positive message on the same path).
 //
+// Every socket, on either side, is a FrameStream (frame_stream.hpp). A
+// worker's writes to the coordinator block; the coordinator's writes and
+// all peer-link writes are queued and flushed without blocking, so neither
+// the coordinator nor two peers writing to each other can deadlock. The
+// coordinator runs one control loop; recovering from a dead worker is a
+// phase of that loop (DESIGN.md section 8c).
+//
 // LP -> shard placement is a table (DistributedConfig::placement, filled by
 // a partitioner or defaulting to round-robin), and it can change mid-run:
 // the coordinator may order an LP migrated (MigrationHooks), the source
@@ -62,6 +69,8 @@ enum class Topology : std::uint8_t {
   Mesh,  ///< direct shard-to-shard links; coordinator is control-plane only
 };
 
+/// What a run may choose. The idle wait (at most 500 us, in ppoll) and the
+/// per-worker step cap are fixed inside the engine.
 struct DistributedConfig {
   /// Worker processes. Default LP -> shard placement is round-robin
   /// (lp % num_shards) so the GVT token ring alternates shards — the
@@ -76,11 +85,6 @@ struct DistributedConfig {
   /// TCP port for the coordinator's loopback listener; 0 picks an ephemeral
   /// port (the default — no clashes between concurrent runs).
   std::uint16_t port = 0;
-  /// Safety valve: abort a worker after this many LP step() invocations.
-  std::uint64_t max_steps = 2'000'000'000;
-  /// Longest a fully idle worker sleeps in poll() before rechecking local
-  /// timer deadlines, microseconds.
-  std::uint64_t idle_poll_us = 500;
   /// Per-shard wire trace-ring capacity (TraceKind::WireFrame records,
   /// shipped back with the shard result and merged into the run trace as
   /// "shard k wire" tracks). 0 = off.

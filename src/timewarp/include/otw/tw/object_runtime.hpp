@@ -13,6 +13,7 @@
 #include "otw/tw/event.hpp"
 #include "otw/tw/object.hpp"
 #include "otw/tw/checkpoint_store.hpp"
+#include "otw/tw/pending_set.hpp"
 #include "otw/tw/queues.hpp"
 #include "otw/tw/stats.hpp"
 #include "otw/tw/telemetry.hpp"
@@ -98,7 +99,7 @@ class ObjectRuntime final : public ObjectContext {
 
   /// Receive time of the next unprocessed event (infinity when none).
   [[nodiscard]] VirtualTime next_event_time() const noexcept {
-    return input_.next_unprocessed_time();
+    return input_->next_unprocessed_time();
   }
 
   /// This object's GVT contribution: the next unprocessed event (clamped by
@@ -169,7 +170,6 @@ class ObjectRuntime final : public ObjectContext {
     return current_state_->digest();
   }
   [[nodiscard]] const SimulationObject& object() const noexcept { return *object_; }
-  [[nodiscard]] const InputQueue& input_queue() const noexcept { return input_; }
   [[nodiscard]] const OutputQueue& output_queue() const noexcept { return output_; }
   [[nodiscard]] std::size_t lazy_pending_size() const noexcept {
     return lazy_pending_.size();
@@ -224,7 +224,9 @@ class ObjectRuntime final : public ObjectContext {
   /// Checkpoint recycler; declared before every member that releases into it.
   StateArena arena_;
   std::unique_ptr<ObjectState> current_state_;
-  InputQueue input_;
+  /// Input queue: every positive event at/after the last fossil-collected
+  /// checkpoint, with the processed/unprocessed boundary (pending_set.hpp).
+  std::unique_ptr<PendingEventSet> input_;
   OutputQueue output_;
   std::unique_ptr<CheckpointStore> states_;
   /// Outputs invalidated by a lazy-mode rollback, awaiting regeneration or

@@ -1,108 +1,18 @@
-// The three history queues of a Time Warp simulation object (paper Fig. 1):
-// input queue, output queue and state queue.
+// Two of the three history queues of a Time Warp simulation object (paper
+// Fig. 1): the output queue and the state queue. The input queue is the
+// object's PendingEventSet (pending_set.hpp).
 #pragma once
 
 #include <deque>
 #include <memory>
-#include <set>
 #include <vector>
 
 #include "otw/tw/event.hpp"
 #include "otw/tw/memory_pool.hpp"
 #include "otw/tw/object.hpp"
-#include "otw/tw/pending_set.hpp"
 #include "otw/util/assert.hpp"
 
 namespace otw::tw {
-
-/// Input queue: all positive events at/after the last fossil-collected
-/// checkpoint, totally ordered by InputOrder, with a processed/unprocessed
-/// boundary. Anti-messages are never stored; they annihilate on arrival.
-///
-/// Thin facade over a PendingEventSet: the concrete data structure is
-/// chosen per kernel via KernelConfig::engine.queue (multiset is the
-/// default and the reference; see pending_set.hpp).
-class InputQueue {
- public:
-  using MatchStatus = tw::MatchStatus;
-
-  /// With a pool, node-based implementations draw every queue node from it
-  /// (and recycle it on annihilation/fossil collection); the pool must
-  /// outlive the queue. A null pool uses the global heap.
-  explicit InputQueue(SlabPool* pool = nullptr,
-                      QueueKind queue = QueueKind::Multiset)
-      : pool_(pool), kind_(queue), impl_(make_pending_set(queue, pool)) {}
-
-  // The processed boundary must be maintained across copies; forbid them.
-  InputQueue(const InputQueue&) = delete;
-  InputQueue& operator=(const InputQueue&) = delete;
-
-  /// Inserts a positive event. Returns true when the event is a straggler:
-  /// it orders before an already-processed event, so the caller must roll
-  /// the object back to before the event's key.
-  bool insert(const Event& event) { return impl_->insert(event); }
-
-  /// The next unprocessed event, or nullptr.
-  [[nodiscard]] const Event* peek_next() const { return impl_->peek_next(); }
-
-  /// Marks the next unprocessed event as processed and returns it. The
-  /// reference stays valid until the next mutating call on the queue.
-  const Event& advance() { return impl_->advance(); }
-
-  /// Moves the processed/unprocessed boundary back so the first unprocessed
-  /// event is the first one ordered after `checkpoint` (rollback restore).
-  void rewind_to_after(const Position& checkpoint) {
-    impl_->rewind_to_after(checkpoint);
-  }
-
-  /// Number of processed events ordered after `pos` (the rollback length).
-  [[nodiscard]] std::size_t processed_after(const Position& pos) const {
-    return impl_->processed_after(pos);
-  }
-
-  /// Looks for the positive event matching an anti-message (same sender and
-  /// instance; InputOrder locates it by key+instance).
-  [[nodiscard]] MatchStatus find_match(const Event& anti) const {
-    return impl_->find_match(anti);
-  }
-
-  /// Erases the positive event matching `anti`. If it was processed, the
-  /// caller must have rolled back past it first (so it is unprocessed now).
-  void erase_match(const Event& anti) { impl_->erase_match(anti); }
-
-  /// Drops processed events ordered before `pos` (all history before the
-  /// checkpoint kept by fossil collection). Returns how many were dropped —
-  /// these events are committed.
-  std::size_t fossil_collect_before(const Position& pos) {
-    return impl_->fossil_collect_before(pos);
-  }
-
-  /// Receive time of the next unprocessed event (infinity if none): this
-  /// object's contribution to GVT.
-  [[nodiscard]] VirtualTime next_unprocessed_time() const {
-    return impl_->next_unprocessed_time();
-  }
-
-  [[nodiscard]] std::size_t size() const noexcept { return impl_->size(); }
-  [[nodiscard]] bool empty() const noexcept { return impl_->empty(); }
-  [[nodiscard]] std::size_t processed_count() const noexcept {
-    return impl_->processed_count();
-  }
-  [[nodiscard]] QueueKind kind() const noexcept { return impl_->kind(); }
-
-  /// Every stored event, processed run first in InputOrder, then the
-  /// unprocessed events (the migration codec ships the unprocessed tail).
-  [[nodiscard]] std::vector<Event> snapshot() const { return impl_->snapshot(); }
-
-  /// Discards all contents and the processed boundary, rebuilding an empty
-  /// implementation of the same kind over the same pool (migration restore).
-  void reset() { impl_ = make_pending_set(kind_, pool_); }
-
- private:
-  SlabPool* pool_;
-  QueueKind kind_;
-  std::unique_ptr<PendingEventSet> impl_;
-};
 
 /// One remembered output message: the event as sent plus the position of
 /// the event whose processing generated it.

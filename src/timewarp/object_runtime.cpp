@@ -17,7 +17,7 @@ ObjectRuntime::ObjectRuntime(ObjectId id, std::unique_ptr<SimulationObject> obje
       rec_(lp.recorder()),
       config_(config),
       costs_(costs),
-      input_(lp.event_pool(), lp.queue_kind()),
+      input_(make_pending_set(lp.queue_kind(), lp.event_pool())),
       states_(make_checkpoint_store(config.state_saving,
                                     config.full_snapshot_interval, &arena_)),
       ckpt_(config.checkpoint_control),
@@ -42,14 +42,14 @@ void ObjectRuntime::initialize() {
 }
 
 bool ObjectRuntime::process_next() {
-  const Event* next = input_.peek_next();
+  const Event* next = input_->peek_next();
   if (next == nullptr || next->recv_time > lp_.end_time()) {
     return false;
   }
   const Position pos = next->position();
   flush_resolved_before(pos);
   execute(*next);
-  input_.advance();
+  input_->advance();
   maybe_checkpoint(pos);
   if (config_.dynamic_checkpointing && ckpt_.on_event_processed()) {
     ++stats_.checkpoint_control_ticks;
@@ -215,8 +215,8 @@ void ObjectRuntime::receive(const Event& event) {
       rec_.record(obs::TraceKind::AntiReceived, lp_.wall_now_ns(), id_,
                   event.recv_time.ticks());
     }
-    const auto status = input_.find_match(event);
-    if (status == InputQueue::MatchStatus::NotFound) {
+    const auto status = input_->find_match(event);
+    if (status == MatchStatus::NotFound) {
       // The anti overtook its positive message. Per-pair FIFO makes that
       // impossible on a static placement, but after a migration rebind the
       // positive can still be on the old owner's forwarding path while the
@@ -226,13 +226,13 @@ void ObjectRuntime::receive(const Event& event) {
       early_antis_.push_back(event);
       return;
     }
-    if (status == InputQueue::MatchStatus::Processed) {
+    if (status == MatchStatus::Processed) {
       rollback(event.position(), event, /*cancel_at_target=*/true);
       // The annihilated event itself was processed and is now undone (the
       // rollback only counted the events after it).
       ++stats_.events_rolled_back;
     }
-    input_.erase_match(event);
+    input_->erase_match(event);
     // Comparison entries caused by the annihilated event can never be
     // regenerated (it is gone): cancel the physical messages, but record no
     // hit/miss — this is cascaded cancellation, not failed speculation.
@@ -248,7 +248,7 @@ void ObjectRuntime::receive(const Event& event) {
         return;
       }
     }
-    if (input_.insert(event)) {
+    if (input_->insert(event)) {
       ++stats_.stragglers;
       rollback(event.position(), event);
     }
@@ -260,7 +260,7 @@ void ObjectRuntime::rollback(const Position& target, const Event& cause,
   OTW_REQUIRE_MSG(target.recv_time() >= gvt_bound_,
                   "rollback below GVT: the GVT algorithm is unsound");
   ++stats_.rollbacks;
-  const std::size_t undone = input_.processed_after(target);
+  const std::size_t undone = input_->processed_after(target);
   stats_.events_rolled_back += undone;
   lp_.note_rollback(undone);
   if (rec_.profiling()) {
@@ -279,7 +279,7 @@ void ObjectRuntime::rollback(const Position& target, const Event& cause,
   arena_.release(std::move(current_state_));
   current_state_ = std::move(keeper.state);
   lvt_ = keeper.pos.recv_time();
-  input_.rewind_to_after(keeper.pos);
+  input_->rewind_to_after(keeper.pos);
   events_since_save_ = 0;
   ++stats_.state_restores;
   if (costs_ != nullptr) {
@@ -323,12 +323,12 @@ void ObjectRuntime::coast_forward(const Position& target) {
     rec_.phase_begin(obs::Phase::CoastForward, start_ns);
   }
   suppress_sends_ = true;
-  while (const Event* next = input_.peek_next()) {
+  while (const Event* next = input_->peek_next()) {
     if (!(next->position() < target)) {
       break;
     }
     execute(*next);
-    input_.advance();
+    input_->advance();
     ++stats_.coast_forward_events;
   }
   suppress_sends_ = false;
@@ -404,9 +404,9 @@ void ObjectRuntime::flush_resolved_before(const Position& pos) {
 }
 
 void ObjectRuntime::idle_flush() {
-  flush_resolved_before(input_.peek_next() == nullptr
+  flush_resolved_before(input_->peek_next() == nullptr
                             ? Position::after_all()
-                            : input_.peek_next()->position());
+                            : input_->peek_next()->position());
 }
 
 VirtualTime ObjectRuntime::gvt_contribution(VirtualTime end_time) const noexcept {
@@ -429,7 +429,7 @@ VirtualTime ObjectRuntime::gvt_contribution(VirtualTime end_time) const noexcept
 void ObjectRuntime::fossil_collect(VirtualTime gvt) {
   gvt_bound_ = gvt;
   const Position keeper = states_->fossil_collect(gvt);
-  const std::size_t committed = input_.fossil_collect_before(keeper);
+  const std::size_t committed = input_->fossil_collect_before(keeper);
   stats_.events_committed += committed;
   output_.fossil_collect_before(gvt);
   if (committed > 0 && rec_.tracing()) {
@@ -441,7 +441,7 @@ void ObjectRuntime::fossil_collect(VirtualTime gvt) {
 void ObjectRuntime::finalize() {
   OTW_ASSERT(lazy_pending_.empty());
   OTW_ASSERT(early_antis_.empty());
-  stats_.events_committed += input_.processed_count();
+  stats_.events_committed += input_->processed_count();
   processing_ = true;  // allow finalize() to read state via the context
   object_->finalize(*this);
   processing_ = false;
@@ -453,7 +453,7 @@ void ObjectRuntime::migration_freeze(VirtualTime gvt) {
   // real event at/after the cut, and fossil collection keeps a checkpoint
   // strictly before it (the kept checkpoint's receive time is < gvt).
   const Position cut{EventKey{gvt, 0, 0}, 0};
-  if (input_.processed_after(cut) > 0) {
+  if (input_->processed_after(cut) > 0) {
     Event cause;  // synthetic straggler standing in for the freeze order
     cause.sender = id_;
     cause.receiver = id_;
@@ -491,14 +491,14 @@ void ObjectRuntime::encode_frozen(platform::WireWriter& w) {
   // the serialized copy is touched — a snapshot must leave a continuing
   // runtime byte-identical to one that never snapshotted.
   ObjectStats shipped = snapshot_stats();
-  shipped.events_committed += input_.processed_count();
+  shipped.events_committed += input_->processed_count();
   detail::write_pod(w, shipped);
   detail::write_pod_vector(w, trace_);
   // Remaining output entries have causes below the cut; they can never be
   // cancelled (rollback below GVT is impossible), so the queue is not
   // serialized. Unprocessed events and parked early antis travel.
-  const std::vector<Event> all = input_.snapshot();
-  const std::size_t processed = input_.processed_count();
+  const std::vector<Event> all = input_->snapshot();
+  const std::size_t processed = input_->processed_count();
   w.u32(static_cast<std::uint32_t>((all.size() - processed) +
                                    early_antis_.size()));
   for (std::size_t i = processed; i < all.size(); ++i) {
@@ -514,7 +514,7 @@ void ObjectRuntime::migrate_out(platform::WireWriter& w, VirtualTime gvt) {
   encode_frozen(w);
   // Inert on this shard from here on: drop the history wholesale. The
   // committed prefix already travelled inside the shipped stats.
-  input_.reset();
+  input_ = make_pending_set(lp_.queue_kind(), lp_.event_pool());
   output_ = OutputQueue{};
   early_antis_.clear();
   trace_.clear();
@@ -541,7 +541,7 @@ void ObjectRuntime::migrate_in(platform::WireReader& r, VirtualTime gvt) {
 
   // Fresh history structures; the shipped totals stay in stats_ and the
   // per-object controllers restart their adaptation from scratch.
-  input_.reset();
+  input_ = make_pending_set(lp_.queue_kind(), lp_.event_pool());
   output_ = OutputQueue{};
   states_ = make_checkpoint_store(config_.state_saving,
                                   config_.full_snapshot_interval, &arena_);
@@ -565,7 +565,7 @@ void ObjectRuntime::migrate_in(platform::WireReader& r, VirtualTime gvt) {
       // flight and will be forwarded here by the source's stale-route path.
       early_antis_.push_back(event);
     } else {
-      const bool straggler = input_.insert(event);
+      const bool straggler = input_->insert(event);
       OTW_ASSERT(!straggler);  // the queue is empty: nothing processed yet
       static_cast<void>(straggler);
     }
@@ -615,13 +615,13 @@ void ObjectRuntime::save_state(const Position& pos) {
 
 MemoryStats ObjectRuntime::memory_footprint() const noexcept {
   MemoryStats m;
-  m.input_queue_bytes = input_.size() * sizeof(Event);
+  m.input_queue_bytes = input_->size() * sizeof(Event);
   m.output_queue_bytes = output_.size() * sizeof(OutputEntry);
   m.state_bytes = states_->stored_bytes();
   m.pending_bytes =
       (lazy_pending_.size() + passive_.size()) * sizeof(OutputEntry) +
       early_antis_.size() * sizeof(Event);
-  m.live_events = input_.size();
+  m.live_events = input_->size();
   m.checkpoints = states_->entries();
   return m;
 }

@@ -92,11 +92,14 @@ class MultisetPendingSet final : public PendingEventSet {
   }
 
   [[nodiscard]] std::size_t processed_after(const Position& pos) const override {
-    auto it = events_.upper_bound(at_position(pos));
+    // Walk back from the boundary: the first unprocessed event may itself
+    // order at or before `pos` (then nothing processed lies after it).
     std::size_t n = 0;
-    while (it != next_) {
-      OTW_ASSERT(it != events_.end());
-      ++it;
+    for (auto it = next_; it != events_.begin();) {
+      --it;
+      if (!(pos < it->position())) {
+        break;
+      }
       ++n;
     }
     return n;

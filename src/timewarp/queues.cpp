@@ -4,10 +4,6 @@
 
 namespace otw::tw {
 
-// InputQueue is a header-only facade over PendingEventSet; the concrete
-// implementations (multiset / skip list / ladder queue) live in
-// pending_set.cpp.
-
 void OutputQueue::record(const Position& cause, const Event& event) {
   OTW_ASSERT(sent_.empty() || !(cause < sent_.back().cause));
   sent_.push_back(OutputEntry{cause, event});

@@ -77,6 +77,9 @@ TEST(HistSnapshot, MergeAddsCellwise) {
 }
 
 TEST(HistBank, RecordsScalarsAndLinksAndDropsOutOfRange) {
+  if (!live::LiveMetricsRegistry::compiled_in()) {
+    GTEST_SKIP() << "live plane compiled out";
+  }
   Bank bank(/*num_shards=*/2);
   bank.record(Seam::GvtRound, 1'000);
   bank.record(Seam::GvtRound, 2'000);

@@ -30,6 +30,7 @@
 #include "otw/apps/phold.hpp"
 #include "otw/obs/hist.hpp"
 #include "otw/obs/json.hpp"
+#include "otw/obs/live.hpp"
 #include "otw/tw/kernel.hpp"
 #include "otw/util/net.hpp"
 
@@ -307,6 +308,9 @@ TEST(DistIntrospection, FourShardPholdScrapeableMidFlight) {
   ASSERT_EQ(r.digests.size(), seq.digests.size());
   for (std::size_t i = 0; i < seq.digests.size(); ++i) {
     EXPECT_EQ(r.digests[i], seq.digests[i]) << "object " << i;
+  }
+  if (!obs::live::LiveMetricsRegistry::compiled_in()) {
+    GTEST_SKIP() << "live plane compiled out";
   }
   EXPECT_EQ(r.dist.num_shards, 4u);
   EXPECT_GT(r.dist.stats_frames, 0u) << "no STATS frames reached the coordinator";

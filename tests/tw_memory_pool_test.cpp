@@ -14,7 +14,7 @@
 
 #include "otw/apps/phold.hpp"
 #include "otw/tw/kernel.hpp"
-#include "otw/tw/queues.hpp"
+#include "otw/tw/pending_set.hpp"
 #include "otw/util/buffer_pool.hpp"
 
 namespace otw::tw {
@@ -180,7 +180,9 @@ TEST(BufferPoolTest, RoundTripsBuffersAcrossThreads) {
 // exact contents while freed nodes are recycled into new insertions.
 TEST(InputQueuePool, RecycledNodesNeverAliasLiveEventsAcrossRollback) {
   SlabPool pool;
-  InputQueue q(&pool);
+  const std::unique_ptr<PendingEventSet> set =
+      make_pending_set(QueueKind::Multiset, &pool);
+  PendingEventSet& q = *set;
 
   auto make = [](std::uint64_t recv, std::uint64_t seq, std::uint64_t inst) {
     Event e;
@@ -247,7 +249,8 @@ class InputQueuePoolLifecycle : public ::testing::TestWithParam<QueueKind> {};
 TEST_P(InputQueuePoolLifecycle, RecycleKeepsEveryLiveEventIntact) {
   const QueueKind kind = GetParam();
   SlabPool pool;
-  InputQueue q(&pool, kind);
+  const std::unique_ptr<PendingEventSet> set = make_pending_set(kind, &pool);
+  PendingEventSet& q = *set;
 
   auto make = [](std::uint64_t recv, std::uint64_t seq, std::uint64_t inst) {
     Event e;

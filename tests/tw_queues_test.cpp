@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include "otw/tw/pending_set.hpp"
+
 namespace otw::tw {
 namespace {
 
@@ -21,14 +23,15 @@ Position pos(std::uint64_t recv, ObjectId sender, std::uint64_t seq,
   return Position{EventKey{VirtualTime{recv}, sender, seq}, instance};
 }
 
-// ------------------------------------------------------------ InputQueue --
+// ------------------------------------------------------------ input queue --
 //
 // Every behavioural test runs against all three PendingEventSet
-// implementations: the InputQueue contract is implementation-independent.
+// implementations: the input-queue contract is implementation-independent.
 
 class InputQueueAllKinds : public ::testing::TestWithParam<QueueKind> {
  protected:
-  InputQueue q{nullptr, GetParam()};
+  std::unique_ptr<PendingEventSet> set_ = make_pending_set(GetParam());
+  PendingEventSet& q = *set_;
 };
 
 INSTANTIATE_TEST_SUITE_P(
@@ -100,6 +103,18 @@ TEST_P(InputQueueAllKinds, ProcessedAfterCountsRollbackLength) {
   EXPECT_EQ(q.processed_after(Position::before_all()), 5u);
 }
 
+// A migration or snapshot cut can fall after the first unprocessed event:
+// nothing processed lies after it (the multiset used to walk past the end).
+TEST_P(InputQueueAllKinds, ProcessedAfterAPositionPastTheBoundaryIsZero) {
+  for (std::uint64_t i = 0; i < 3; ++i) {
+    q.insert(ev(10 * (i + 1), 1, i, i));
+  }
+  q.advance();  // 10 processed; 20 and 30 unprocessed
+  EXPECT_EQ(q.processed_after(pos(25, 0, 0)), 0u);
+  EXPECT_EQ(q.processed_after(pos(20, 1, 1, 1)), 0u);
+  EXPECT_EQ(q.processed_after(pos(5, 0, 0)), 1u);
+}
+
 TEST_P(InputQueueAllKinds, StragglerNotCountedInProcessedAfter) {
   q.insert(ev(10, 1, 0, 0));
   q.insert(ev(30, 1, 1, 1));
@@ -115,17 +130,17 @@ TEST_P(InputQueueAllKinds, AnnihilationOfUnprocessed) {
   const Event pos = ev(10, 1, 0, 7);
   q.insert(pos);
   const Event anti = pos.make_anti();
-  EXPECT_EQ(q.find_match(anti), InputQueue::MatchStatus::Unprocessed);
+  EXPECT_EQ(q.find_match(anti), MatchStatus::Unprocessed);
   q.erase_match(anti);
   EXPECT_TRUE(q.empty());
-  EXPECT_EQ(q.find_match(anti), InputQueue::MatchStatus::NotFound);
+  EXPECT_EQ(q.find_match(anti), MatchStatus::NotFound);
 }
 
 TEST_P(InputQueueAllKinds, AnnihilationDetectsProcessed) {
   const Event pos = ev(10, 1, 0, 7);
   q.insert(pos);
   q.advance();
-  EXPECT_EQ(q.find_match(pos.make_anti()), InputQueue::MatchStatus::Processed);
+  EXPECT_EQ(q.find_match(pos.make_anti()), MatchStatus::Processed);
 }
 
 TEST_P(InputQueueAllKinds, EraseMatchOfProcessedThrowsWithoutRewind) {
@@ -142,7 +157,7 @@ TEST_P(InputQueueAllKinds, EraseMatchOfProcessedThrowsWithoutRewind) {
 TEST_P(InputQueueAllKinds, MatchDistinguishesInstances) {
   q.insert(ev(10, 1, 0, 7));
   Event other = ev(10, 1, 0, 8);  // same key, different instance
-  EXPECT_EQ(q.find_match(other.make_anti()), InputQueue::MatchStatus::NotFound);
+  EXPECT_EQ(q.find_match(other.make_anti()), MatchStatus::NotFound);
 }
 
 TEST_P(InputQueueAllKinds, EraseMatchAdvancesBoundaryWhenNeeded) {
