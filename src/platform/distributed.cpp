@@ -673,7 +673,12 @@ void ShardDriver::settle_pass() {
       continue;
     }
     Context ctx(*this, lp);
-    migratable->snapshot_settle(ctx);
+    if (migratable->snapshot_settle(ctx) && lp.status != StepStatus::Done) {
+      // The LP took in traffic that no step has seen. A Cut re-arms every
+      // LP, but an Abort (a DONE reached the coordinator mid-Settle) resumes
+      // stepping as is, and an Idle LP with an empty inbox is never stepped.
+      lp.status = StepStatus::Active;
+    }
   }
   flush_links();
   if (snap_poll_pending_) {
@@ -1369,6 +1374,10 @@ EngineRunResult DistributedEngine::run(const std::vector<LpRunner*>& lps,
   OTW_REQUIRE_MSG(!fault_on || !migration.enabled(),
                   "fault tolerance and on-line migration are mutually "
                   "exclusive (a snapshot would have to version the owner map)");
+  OTW_REQUIRE_MSG(!fault_on || fault.inject_kill_shard < 0 ||
+                      static_cast<bool>(fault.announced_gvt),
+                  "an injected kill needs FaultHooks::announced_gvt (the "
+                  "epochs before it follow GVT progress)");
 
   const std::uint64_t t_start = mono_ns();
   const std::uint32_t num_shards = config_.num_shards;
@@ -1507,7 +1516,16 @@ EngineRunResult DistributedEngine::run(const std::vector<LpRunner*>& lps,
     const std::uint64_t initial_gap_ns =
         static_cast<std::uint64_t>(fault.initial_gap_ms) * 1'000'000;
     std::uint64_t next_snap_ns = fault_on ? mono_ns() + initial_gap_ns : kNever;
-    bool inject_done = false;
+    // An injected kill that has not fired yet. Until it does, epochs follow
+    // GVT progress, not next_snap_ns: the next one starts once the relayed
+    // announces show the cluster GVT past the last cut, so a run too short
+    // for the wall-clock schedule still reaches the epoch the kill awaits.
+    bool kill_armed = fault_on && fault.inject_kill_shard >= 0;
+    std::uint64_t cluster_gvt = 0;  ///< highest relayed announce while armed
+    const auto snapshot_due = [&](std::uint64_t now) {
+      return kill_armed ? cluster_gvt > last_cut.gvt_ticks
+                        : now >= next_snap_ns;
+    };
 
     const auto broadcast = [&](const FrameHeader& h,
                                const std::uint8_t* payload) {
@@ -1620,10 +1638,10 @@ EngineRunResult DistributedEngine::run(const std::vector<LpRunner*>& lps,
       snap_have_prev = false;
       snap_data_count = 0;
       try_finish();
-      if (committed && !inject_done && fault.inject_kill_shard >= 0 &&
+      if (committed && kill_armed &&
           snap_epoch >= fault.inject_kill_after_epoch) {
         // Test hook: lose a shard right after a committed cut.
-        inject_done = true;
+        kill_armed = false;
         const auto victim = static_cast<std::uint32_t>(fault.inject_kill_shard);
         ::kill(children[victim], SIGKILL);
       }
@@ -1955,6 +1973,12 @@ EngineRunResult DistributedEngine::run(const std::vector<LpRunner*>& lps,
         streams[dst_shard].queue_raw(frame, frame_len);
         static_cast<void>(streams[dst_shard].flush());
         ++result.dist.frames_relayed;
+        if (kill_armed) {
+          if (const std::optional<std::uint64_t> gvt = fault.announced_gvt(
+                  header.tag, payload, header.payload_len)) {
+            cluster_gvt = std::max(cluster_gvt, *gvt);
+          }
+        }
         if (live.bank != nullptr || live.on_relay) {
           // Relay residency: origin encode -> queued for the destination
           // (the upstream half of the end-to-end link latency).
@@ -2003,11 +2027,14 @@ EngineRunResult DistributedEngine::run(const std::vector<LpRunner*>& lps,
         int cap = kFaultPollCapMs;
         if (may_snapshot) {
           const std::uint64_t now = mono_ns();
-          const auto until_ms =
-              next_snap_ns <= now
-                  ? 0
-                  : static_cast<int>((next_snap_ns - now) / 1'000'000 + 1);
-          cap = std::min(cap, until_ms);
+          if (snapshot_due(now)) {
+            cap = 0;
+          } else if (!kill_armed) {
+            cap = std::min(
+                cap, static_cast<int>((next_snap_ns - now) / 1'000'000 + 1));
+          }
+          // An armed kill waits on relayed announces, which wake the poll
+          // themselves: until one is due it sleeps the cap, never 0.
         }
         timeout_ms = timeout_ms < 0 ? cap : std::min(timeout_ms, cap);
       }
@@ -2028,7 +2055,7 @@ EngineRunResult DistributedEngine::run(const std::vector<LpRunner*>& lps,
           ::kill(children[static_cast<std::uint32_t>(victim)], SIGKILL);
         }
       }
-      if (may_snapshot && mono_ns() >= next_snap_ns) {
+      if (may_snapshot && snapshot_due(mono_ns())) {
         snap_epoch = next_snap_epoch++;
         snap_started_ns = mono_ns();
         snap_phase = SnapPhase::Settle;

@@ -259,6 +259,13 @@ struct FaultHooks {
   /// kernel backs this with a Bringmann-style schedule controller).
   std::function<std::uint32_t(std::uint64_t cost_ns, std::uint64_t bytes)>
       next_gap_ms;
+  /// GVT ticks carried by a relayed control frame (its tag and payload), or
+  /// nullopt when the frame announces no GVT (the kernel decodes its own
+  /// announce here, so the engine learns no kernel tag). Consulted only
+  /// while an injected kill is armed; required when one is.
+  std::function<std::optional<std::uint64_t>(
+      std::uint16_t tag, const std::uint8_t* payload, std::uint32_t len)>
+      announced_gvt;
   /// Spill directory for complete epochs ("OTWSNAP1" container, see
   /// wire.hpp kSnapshotManifestFields); empty = coordinator memory only.
   std::string spill_dir;
@@ -267,8 +274,13 @@ struct FaultHooks {
   /// monitor thread, consumed (reset to -1) by the coordinator loop.
   std::shared_ptr<std::atomic<std::int32_t>> kill_request;
   /// Chaos injection for tests/CI: when >= 0, the coordinator SIGKILLs this
-  /// shard's worker right after snapshot epoch `inject_kill_after_epoch`
-  /// completes (deterministic mid-run failure).
+  /// shard's worker right after the first committed epoch numbered
+  /// `inject_kill_after_epoch` or later (deterministic mid-run failure).
+  /// Epoch numbers count attempts, as RecoveryIncident::epoch and the spill
+  /// file names do: a declined or aborted attempt uses one up. Until the
+  /// kill fires, epochs follow GVT progress instead of the wall clock: the
+  /// next one starts once a relayed announce (`announced_gvt`) shows the
+  /// cluster GVT past the last cut, so a short run still reaches the epoch.
   std::int32_t inject_kill_shard = -1;
   std::uint32_t inject_kill_after_epoch = 1;
 };

@@ -311,6 +311,17 @@ RunResult run_distributed_impl(const Model& model, const KernelConfig& config,
                                            std::uint64_t bytes) {
       return snap_sched->on_snapshot(cost_ns, bytes);
     };
+    // An armed kill paces the epochs before it by GVT progress, which the
+    // coordinator reads out of the announces it relays.
+    fault_hooks.announced_gvt =
+        [](std::uint16_t tag, const std::uint8_t* payload,
+           std::uint32_t len) -> std::optional<std::uint64_t> {
+      if (tag != kTagGvtAnnounce) {
+        return std::nullopt;
+      }
+      WireReader reader(payload, len);
+      return reader.u64();
+    };
     fault_hooks.kill_request = watchdog_kill_request;
   }
 

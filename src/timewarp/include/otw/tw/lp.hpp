@@ -176,7 +176,12 @@ struct KernelConfig {
     /// Snapshot cadence controller (budget cap / overhead floor bounds).
     core::SnapshotScheduleConfig control;
     /// Chaos injection (tests/CI): SIGKILL this shard's worker right after
-    /// snapshot epoch `inject_kill_after_epoch` completes. -1 = disabled.
+    /// the first committed snapshot epoch numbered `inject_kill_after_epoch`
+    /// or later. -1 = disabled. The number counts epoch attempts, as
+    /// RecoveryIncident::epoch and the spill file names do, so a declined or
+    /// aborted attempt uses one up. The epochs before an armed kill follow
+    /// GVT progress (each starts once GVT has passed the last cut), not the
+    /// wall-clock cadence, so a short run still reaches the kill.
     std::int32_t inject_kill_shard = -1;
     std::uint32_t inject_kill_after_epoch = 1;
   } fault;
