@@ -101,6 +101,11 @@ void LiveServer::serve() {
     } catch (...) {
       // A misbehaving scraper must never take the run down.
     }
+    // End the connection itself, not just this descriptor: a worker the
+    // distributed engine fork()s while a client is being served inherits
+    // a copy of `fd`, and close() alone leaves the client waiting for EOF
+    // until that worker exits.
+    ::shutdown(fd, SHUT_RDWR);
     ::close(fd);
   }
 }
