@@ -22,8 +22,8 @@
 //         moved LP's cost show up in the deltas before re-evaluating.
 //     P - the coordinator's migration control period (period_ms)
 //
-// The controller only picks shards; freezing, shipping and rebinding are the
-// engine's migration protocol (platform/distributed.hpp). Like every other
+// The controller only picks shards; freezing, shipping and re-routing are
+// the engine's move epoch (platform/distributed.hpp). Like every other
 // controller here it is a pure state machine — no I/O, directly testable.
 #pragma once
 

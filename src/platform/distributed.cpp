@@ -32,18 +32,24 @@ namespace {
 
 constexpr std::uint64_t kNever = std::numeric_limits<std::uint64_t>::max();
 
-// SNAP_CTL phases (payload: u8 phase + u32 epoch). DESIGN.md section 8c.
+// SNAP_CTL phases (payload: u8 phase + u32 epoch + u32 lp + u32 to, where
+// lp = kNoMove for a snapshot epoch). DESIGN.md section 8c.
 constexpr std::uint8_t kSnapStop = 0;       ///< enter the settle loop
 constexpr std::uint8_t kSnapPoll = 1;       ///< report channel-op counters
-constexpr std::uint8_t kSnapCut = 2;        ///< freeze every LP at the GVT cut
+constexpr std::uint8_t kSnapCut = 2;        ///< freeze LPs at the GVT cut
 constexpr std::uint8_t kSnapSerialize = 3;  ///< encode + ship the shard blob
 constexpr std::uint8_t kSnapResume = 4;     ///< epoch committed; run again
 constexpr std::uint8_t kSnapAbort = 5;      ///< epoch discarded; run again
+constexpr std::uint8_t kSnapMove = 6;       ///< install the new owner, ship the LP
 
-// SNAP_ACK kinds (payload: u8 kind + u64 a + u64 b).
+/// SNAP_CTL `lp` of an epoch that moves no LP (a snapshot).
+constexpr LpId kNoMove = std::numeric_limits<LpId>::max();
+
+// SNAP_ACK kinds (payload: u8 kind + u64 a + u64 b + u32 seq).
 constexpr std::uint8_t kSnapAckCounters = 0;  ///< a = sent, b = received
 constexpr std::uint8_t kSnapAckAccept = 1;    ///< cut taken; a = cut GVT ticks
 constexpr std::uint8_t kSnapAckDecline = 2;   ///< cut refused (done / GVT 0)
+constexpr std::uint8_t kSnapAckMoved = 3;     ///< new owner installed (LP restored)
 
 /// Under fault tolerance the coordinator's poll sleep is capped so watchdog
 /// kill requests and snapshot deadlines are honored promptly.
@@ -157,9 +163,7 @@ class ShardDriver {
     await_marker_.assign(config.num_shards, false);
     early_marker_.assign(config.num_shards, false);
     owners_.resize(num_lps_);
-    epochs_.assign(num_lps_, 0);
     lp_index_.assign(num_lps_, SIZE_MAX);
-    pending_in_.resize(num_lps_);
     for (LpId lp = 0; lp < num_lps_; ++lp) {
       owners_[lp] = initial_owner_of(lp, config_);
       if (owners_[lp] == shard_) {
@@ -197,6 +201,7 @@ class ShardDriver {
   }
 
   void deliver_local(LpId dst, std::unique_ptr<EngineMessage> msg) {
+    OTW_ASSERT(lp_index_[dst] != SIZE_MAX);
     if (live_.bank != nullptr) {
       msg->obs_enqueue_ns = now_ns();
     }
@@ -224,9 +229,8 @@ class ShardDriver {
                          const std::uint8_t* frame);
   void route_inbound(const std::uint8_t* frame, const FrameHeader& header,
                      std::uint32_t src_shard_hint);
-  void handle_migrate_cmd(const std::uint8_t* payload, std::uint32_t len);
+  void ship_lp(LpId lp, std::uint32_t to, std::uint32_t epoch);
   void handle_migrate_in(const FrameHeader& header, const std::uint8_t* payload);
-  void handle_rebind(const std::uint8_t* payload, std::uint32_t len);
   void handle_time_echo(const FrameHeader& header, const std::uint8_t* payload);
   void handle_snap_ctl(const std::uint8_t* payload, std::uint32_t len);
   void handle_recover(const std::uint8_t* payload, std::uint32_t len);
@@ -239,15 +243,14 @@ class ShardDriver {
   void maybe_send_time_ping();
   void send_done();
   void flush_links();
-  void forward_frame(const std::uint8_t* frame, const FrameHeader& header);
   void idle_wait();
   void maybe_send_stats();
 
   class Context;
 
-  /// Snapshot-protocol execution mode. Run = normal stepping; Settle = no
-  /// stepping, absorb + flush only (between SNAP_CTL stop and resume); Hold
-  /// = frozen after serialize/restore until the coordinator's Resume.
+  /// Epoch execution mode. Run = normal stepping; Settle = no stepping,
+  /// absorb + flush only (between SNAP_CTL stop and resume); Hold = frozen
+  /// after serialize/move/restore until the coordinator's Resume.
   enum class SnapMode : std::uint8_t { Run, Settle, Hold };
 
   std::uint32_t shard_;
@@ -262,22 +265,18 @@ class ShardDriver {
   const std::vector<LpRunner*>& all_lps_;  ///< fork gave us a copy of every LP
   /// Peer links, index = shard (self unused); writes are queued, never block.
   std::vector<FrameStream> links_;
-  std::vector<ShardLp> lps_;
+  std::vector<ShardLp> lps_;  ///< the LPs this shard holds
   std::vector<std::size_t> lp_index_;  ///< global LpId -> index in lps_
-  std::vector<std::uint32_t> owners_;  ///< LP -> shard, current routing epoch
-  std::vector<std::uint32_t> epochs_;  ///< LP -> highest rebind epoch seen
-  /// Inbound messages for an LP this shard owns (per REBIND/MIGRATE) whose
-  /// state has not arrived yet; drained into the inbox at migrate-in.
-  std::vector<std::deque<std::unique_ptr<EngineMessage>>> pending_in_;
-  std::size_t remaining_ = 0;       ///< local LPs not Done and not migrated out
-  std::uint64_t migrations_in_ = 0;
+  std::vector<std::uint32_t> owners_;  ///< LP -> shard
+  std::size_t remaining_ = 0;       ///< held LPs not Done
   bool done_announced_ = false;
   bool finish_received_ = false;
   std::vector<std::uint8_t> scratch_;  ///< payload encode buffer
 
-  // --- fault tolerance (DESIGN.md section 8c) ---
-  bool fault_ = false;
+  // --- epochs: snapshots and moves (DESIGN.md section 8c) ---
+  bool fault_ = false;  ///< a dead peer is recovered, not fatal
   SnapMode snap_mode_ = SnapMode::Run;
+  std::uint64_t freeze_ns_ = 0;  ///< the moving LP's cut, for MigrationFreeze
   bool snap_poll_pending_ = false;  ///< ACK owed after the next settle pass
   std::uint32_t snap_poll_round_ = 0;  ///< round id echoed in the counters ACK
   /// Channel-op counters for the quiescence proof: every enqueue (inbox
@@ -339,13 +338,7 @@ class ShardDriver::Context final : public LpContext {
     ++driver_.totals_.physical_messages;
     driver_.totals_.wire_bytes += bytes;
     if (driver_.owners_[dst] == driver_.shard_) {
-      if (driver_.lp_index_[dst] != SIZE_MAX) {
-        driver_.deliver_local(dst, std::move(msg));
-      } else {
-        // Rebound here, state still in flight: park until migrate-in.
-        ++driver_.snap_sent_;
-        driver_.pending_in_[dst].push_back(std::move(msg));
-      }
+      driver_.deliver_local(dst, std::move(msg));
     } else {
       driver_.send_remote(lp_.id, dst, *msg);
     }
@@ -463,29 +456,13 @@ void ShardDriver::maybe_send_time_ping() {
   coord_.send(ping, nullptr);
 }
 
-void ShardDriver::forward_frame(const std::uint8_t* frame,
-                                const FrameHeader& header) {
-  // The sender's routing epoch was stale: re-ship the frame verbatim to the
-  // shard we believe owns the LP. Owner maps only move to higher epochs, so
-  // a forwarded frame always moves toward the migration's destination and
-  // chains terminate (bounded by the number of rebinds).
-  const std::uint32_t peer = owners_[header.dst_lp];
-  links_[peer].queue_raw(frame, kFrameHeaderBytes + header.payload_len);
-  ++snap_sent_;
-  flush_peer_link(peer);
-  ++totals_.dist.frames_forwarded;
-}
-
 void ShardDriver::route_inbound(const std::uint8_t* frame,
                                 const FrameHeader& header,
                                 std::uint32_t src_shard_hint) {
   const LpId dst = header.dst_lp;
-  OTW_REQUIRE_MSG(dst < num_lps_, "frame routed to an unknown LP");
+  OTW_REQUIRE_MSG(dst < num_lps_ && lp_index_[dst] != SIZE_MAX,
+                  "frame routed to an LP this shard does not hold");
   ++snap_recv_;
-  if (owners_[dst] != shard_) {
-    forward_frame(frame, header);
-    return;
-  }
   const std::uint8_t* payload = frame + kFrameHeaderBytes;
   WireReader reader(payload, header.payload_len);
   const std::uint64_t t0 = mono_ns();
@@ -516,124 +493,58 @@ void ShardDriver::route_inbound(const std::uint8_t* frame,
     trace_.push(obs::TraceRecord{now_ns(), 0, args.arg0, args.arg1,
                                  header.src_lp, obs::TraceKind::WireFrame});
   }
-  if (lp_index_[dst] == SIZE_MAX) {
-    // We own the LP (rebind seen) but its state is still in flight.
-    pending_in_[dst].push_back(std::move(msg));
-  } else {
-    deliver_local(dst, std::move(msg));
-  }
+  deliver_local(dst, std::move(msg));
 }
 
-void ShardDriver::handle_rebind(const std::uint8_t* payload, std::uint32_t len) {
-  WireReader r(payload, len);
-  const LpId lp = r.u32();
-  const std::uint32_t owner = r.u32();
-  const std::uint32_t epoch = r.u32();
-  OTW_REQUIRE_MSG(r.done() && lp < num_lps_ && owner < config_.num_shards,
-                  "malformed REBIND frame");
-  if (epoch > epochs_[lp]) {  // epoch-monotonic: stale rebinds are no-ops
-    epochs_[lp] = epoch;
-    owners_[lp] = owner;
-  }
-}
-
-void ShardDriver::handle_migrate_cmd(const std::uint8_t* payload,
-                                     std::uint32_t len) {
-  WireReader r(payload, len);
-  const LpId lp = r.u32();
-  const std::uint32_t to = r.u32();
-  const std::uint32_t epoch = r.u32();
-  OTW_REQUIRE_MSG(r.done() && lp < num_lps_ && to < config_.num_shards &&
-                      to != shard_,
-                  "malformed MIGRATE_CMD frame");
-  OTW_REQUIRE_MSG(owners_[lp] == shard_ && lp_index_[lp] != SIZE_MAX,
-                  "migrate command for an LP this shard does not hold");
-  ShardLp& s = lps_[lp_index_[lp]];
-  auto* migratable = dynamic_cast<MigratableLp*>(s.runner);
-  std::uint8_t accepted = 1;
-  if (s.status == StepStatus::Done || migratable == nullptr) {
-    // Endgame race (the LP finished while the command was in flight) or a
-    // runner that cannot move: decline, the coordinator drops the epoch.
-    accepted = 0;
-  } else {
-    // NOT scratch_: migrate_out ships the LP's held sends and aggregation
-    // batches through send_remote mid-serialization, and that path reuses
-    // scratch_ as its encode buffer.
-    std::vector<std::uint8_t> blob;
-    WireWriter w(blob);
-    w.u32(epoch);
-    const std::uint64_t t0 = mono_ns();
-    bool frozen = false;
-    {
-      Context ctx(*this, s);
-      frozen = migratable->migrate_out(ctx, w);
-    }
-    if (!frozen) {
-      // Declined: the LP completed while migrate_out drained its inbox, or
-      // GVT is still zero. Draining may have handed it work, and only a
-      // step() reports Done, so step it again: an LP left Idle with an
-      // empty inbox would sleep forever.
-      s.status = StepStatus::Active;
-      accepted = 0;
-    } else {
-      if (live_.bank != nullptr) {
-        live_.bank->record(obs::hist::Seam::MigrationFreeze, mono_ns() - t0);
-      }
-      OTW_ASSERT(s.inbox.empty());  // migrate_out must drain via ctx.poll()
-      FrameHeader h = control_header(kTagMigrate, blob.size());
-      h.dst_lp = lp;
-      // Peer link, not the coordinator: frames already forwarded toward the
-      // destination sit ahead of the LP state on the same FIFO stream.
-      links_[to].queue(h, blob.data());
-      flush_peer_link(to);
-      ++totals_.dist.frames_sent;
-      totals_.dist.bytes_sent += kFrameHeaderBytes + blob.size();
-
-      s.runner = nullptr;
-      if (s.status != StepStatus::Done) {
-        --remaining_;
-      }
-      s.status = StepStatus::Done;
-      lp_index_[lp] = SIZE_MAX;
-      owners_[lp] = to;
-      epochs_[lp] = epoch;
-    }
-  }
-  // Report to the coordinator, which rebinds everyone else on acceptance.
-  scratch_.clear();
-  WireWriter w(scratch_);
-  w.u32(lp);
-  w.u32(to);
+void ShardDriver::ship_lp(LpId lp, std::uint32_t to, std::uint32_t epoch) {
+  // The Cut froze the LP and the Resettle absorbed everything its rollback
+  // set moving, so nothing is in flight toward it and it holds nothing to
+  // send: its whole dynamic state fits one MIGRATE frame.
+  const std::size_t k = lp_index_[lp];
+  OTW_ASSERT(lps_[k].inbox.empty());  // the last settle pass drained it
+  std::vector<std::uint8_t> blob;
+  WireWriter w(blob);
   w.u32(epoch);
-  w.u8(accepted);
-  coord_.send(control_header(kTagMigrated, scratch_.size()), scratch_.data());
+  const std::uint64_t t0 = mono_ns();
+  {
+    Context ctx(*this, lps_[k]);
+    dynamic_cast<MigratableLp&>(*lps_[k].runner).snapshot_encode(ctx, w);
+  }
+  if (live_.bank != nullptr) {
+    live_.bank->record(obs::hist::Seam::MigrationFreeze,
+                       freeze_ns_ + (mono_ns() - t0));
+  }
+  FrameHeader h = control_header(kTagMigrate, blob.size());
+  h.dst_lp = lp;
+  links_[to].queue(h, blob.data());
+  flush_peer_link(to);
+  ++totals_.dist.frames_sent;
+  totals_.dist.bytes_sent += kFrameHeaderBytes + blob.size();
+  lps_.erase(lps_.begin() + static_cast<std::ptrdiff_t>(k));
+  lp_index_[lp] = SIZE_MAX;
+  for (std::size_t i = k; i < lps_.size(); ++i) {
+    lp_index_[lps_[i].id] = i;
+  }
+  --remaining_;  // the cut re-armed it, so it was not Done
 }
 
 void ShardDriver::handle_migrate_in(const FrameHeader& header,
                                     const std::uint8_t* payload) {
   const LpId lp = header.dst_lp;
-  OTW_REQUIRE_MSG(lp < num_lps_, "MIGRATE frame for an unknown LP");
-  WireReader r(payload, header.payload_len);
-  const std::uint32_t epoch = r.u32();
-  if (epoch > epochs_[lp]) {
-    // The MIGRATE beat the REBIND broadcast here; it implies ownership.
-    epochs_[lp] = epoch;
-    owners_[lp] = shard_;
-  }
-  OTW_REQUIRE_MSG(owners_[lp] == shard_ && lp_index_[lp] == SIZE_MAX,
-                  "MIGRATE frame for an LP this shard already holds");
+  OTW_REQUIRE_MSG(lp < num_lps_ && lp_index_[lp] == SIZE_MAX,
+                  "MIGRATE frame for an unknown LP or one this shard holds");
   auto* migratable = dynamic_cast<MigratableLp*>(all_lps_[lp]);
   OTW_REQUIRE_MSG(migratable != nullptr, "LP runner is not migratable");
+  WireReader r(payload, header.payload_len);
+  const std::uint32_t epoch = r.u32();
   lp_index_[lp] = lps_.size();
-  lps_.emplace_back();
-  ShardLp& s = lps_.back();
+  ShardLp& s = lps_.emplace_back();
   s.id = lp;
   s.runner = all_lps_[lp];  // fork copy, about to be overwritten from the wire
-  s.status = StepStatus::Active;
   const std::uint64_t t0 = mono_ns();
   {
     Context ctx(*this, s);
-    migratable->migrate_in(ctx, r);
+    migratable->snapshot_restore(ctx, r);
   }
   OTW_REQUIRE_MSG(r.done(), "trailing bytes after MIGRATE payload");
   if (live_.bank != nullptr) {
@@ -641,15 +552,10 @@ void ShardDriver::handle_migrate_in(const FrameHeader& header,
   }
   ++totals_.dist.frames_received;
   totals_.dist.bytes_received += kFrameHeaderBytes + header.payload_len;
-  ++migrations_in_;
+  owners_[lp] = shard_;  // the MIGRATE may beat this shard's own Move
   ++remaining_;
   done_announced_ = false;  // active set grew; the last DONE is stale
-  // Frames that raced ahead of the LP state resume delivery in FIFO order.
-  std::deque<std::unique_ptr<EngineMessage>>& stash = pending_in_[lp];
-  while (!stash.empty()) {
-    deliver_local(lp, std::move(stash.front()));
-    stash.pop_front();
-  }
+  send_snap_ack(kSnapAckMoved, 0, 0, epoch);
 }
 
 void ShardDriver::send_snap_ack(std::uint8_t kind, std::uint64_t a,
@@ -665,9 +571,6 @@ void ShardDriver::send_snap_ack(std::uint8_t kind, std::uint64_t a,
 
 void ShardDriver::settle_pass() {
   for (ShardLp& lp : lps_) {
-    if (lp.runner == nullptr) {
-      continue;
-    }
     auto* migratable = dynamic_cast<MigratableLp*>(lp.runner);
     if (migratable == nullptr) {
       continue;
@@ -735,11 +638,15 @@ void ShardDriver::serialize_shard(std::uint32_t epoch) {
 
 void ShardDriver::handle_snap_ctl(const std::uint8_t* payload,
                                   std::uint32_t len) {
-  OTW_REQUIRE_MSG(fault_, "SNAP_CTL frame without fault tolerance enabled");
   WireReader r(payload, len);
   const std::uint8_t phase = r.u8();
   const std::uint32_t epoch = r.u32();
-  OTW_REQUIRE_MSG(r.done(), "malformed SNAP_CTL frame");
+  const LpId move_lp = r.u32();
+  const std::uint32_t move_to = r.u32();
+  OTW_REQUIRE_MSG(r.done() && (move_lp == kNoMove ||
+                               (move_lp < num_lps_ &&
+                                move_to < config_.num_shards)),
+                  "malformed SNAP_CTL frame");
   switch (phase) {
     case kSnapStop:
       snap_mode_ = SnapMode::Settle;
@@ -752,35 +659,36 @@ void ShardDriver::handle_snap_ctl(const std::uint8_t* payload,
       snap_poll_round_ = epoch;
       return;
     case kSnapCut: {
+      // A snapshot cuts every LP and declines at GVT 0 (its image must lie
+      // past the initial state); a move cuts only the moving LP, at any GVT.
       bool accepted = true;
       for (ShardLp& lp : lps_) {
-        if (lp.runner == nullptr) {
+        if (move_lp != kNoMove && lp.id != move_lp) {
           continue;
         }
         auto* migratable = dynamic_cast<MigratableLp*>(lp.runner);
-        bool ok = false;
-        if (migratable != nullptr) {
+        const std::uint64_t t0 = mono_ns();
+        accepted = migratable != nullptr &&
+                   (move_lp != kNoMove || migratable->snapshot_gvt_ticks() > 0);
+        if (accepted) {
           Context ctx(*this, lp);
-          ok = migratable->snapshot_cut(ctx);
+          accepted = migratable->snapshot_cut(ctx);
         }
-        if (!ok) {
+        freeze_ns_ = mono_ns() - t0;
+        if (!accepted) {
           // No undo needed: a taken cut is a digest-neutral rollback, the
           // frozen LPs simply resume from it after the coordinator's Abort.
-          accepted = false;
           break;
         }
       }
       flush_links();  // the cut flushed held sends + batches toward peers
-      // The cut rolled every runtime back to the GVT cut; the driver-side
-      // step state (status, wake hints) predates that rollback, and a cut
-      // that produces no anti-messages wakes nobody — the whole mesh would
+      // The cut rolled runtimes back to the GVT cut; the driver-side step
+      // state (status, wake hints) predates that rollback, and a cut that
+      // produces no anti-messages wakes nobody — the whole mesh would
       // sleep forever after Resume. Mark everything runnable so each LP is
       // re-stepped (one with nothing to redo parks itself again), and
       // revive LPs whose completion was itself speculative.
       for (ShardLp& lp : lps_) {
-        if (lp.runner == nullptr) {
-          continue;
-        }
         if (lp.status == StepStatus::Done) {
           ++remaining_;
         }
@@ -788,14 +696,11 @@ void ShardDriver::handle_snap_ctl(const std::uint8_t* payload,
         lp.wake_hint_ns = kNever;
       }
       if (accepted) {
-        std::uint64_t gvt = 0;
-        for (ShardLp& lp : lps_) {
-          if (lp.runner == nullptr) {
-            continue;
-          }
-          gvt = dynamic_cast<MigratableLp*>(lp.runner)->snapshot_gvt_ticks();
-          break;  // at quiescence every LP agrees on the cut GVT
-        }
+        // At quiescence every LP agrees on the cut GVT.
+        const std::uint64_t gvt =
+            lps_.empty() ? 0
+                         : dynamic_cast<MigratableLp*>(lps_.front().runner)
+                               ->snapshot_gvt_ticks();
         send_snap_ack(kSnapAckAccept, gvt, 0, epoch);
       } else {
         send_snap_ack(kSnapAckDecline, 0, 0, epoch);
@@ -805,6 +710,21 @@ void ShardDriver::handle_snap_ctl(const std::uint8_t* payload,
     case kSnapSerialize:
       serialize_shard(epoch);
       snap_mode_ = SnapMode::Hold;
+      return;
+    case kSnapMove:
+      // Every worker routes by the new owner from here on. The destination
+      // acknowledges once it has restored the LP (handle_migrate_in), every
+      // other worker right away, so no worker can still route by the old
+      // owner when the coordinator's Resume lets the first one step.
+      OTW_REQUIRE_MSG(move_lp != kNoMove, "SNAP_CTL move names no LP");
+      snap_mode_ = SnapMode::Hold;
+      owners_[move_lp] = move_to;
+      if (move_to != shard_) {
+        if (lp_index_[move_lp] != SIZE_MAX) {
+          ship_lp(move_lp, move_to, epoch);
+        }
+        send_snap_ack(kSnapAckMoved, 0, 0, epoch);
+      }
       return;
     case kSnapResume:
       if (pending_valid_ && pending_epoch_ == epoch) {
@@ -854,9 +774,6 @@ void ShardDriver::restore_local(WireReader& r) {
     OTW_REQUIRE_MSG(sub.done(), "trailing bytes after an LP snapshot record");
   }
   OTW_REQUIRE_MSG(r.done(), "trailing bytes after a shard snapshot blob");
-  for (std::deque<std::unique_ptr<EngineMessage>>& stash : pending_in_) {
-    stash.clear();
-  }
   remaining_ = lps_.size();  // a committed cut never contains a Done LP
   done_announced_ = false;
   if (live_.bank != nullptr) {
@@ -952,12 +869,6 @@ void ShardDriver::handle_coord_frame(const FrameHeader& header,
     case kTagTime:
       handle_time_echo(header, payload);
       return;
-    case kTagMigrateCmd:
-      handle_migrate_cmd(payload, header.payload_len);
-      return;
-    case kTagRebind:
-      handle_rebind(payload, header.payload_len);
-      return;
     case kTagFinish:
       finish_received_ = true;
       return;
@@ -972,8 +883,7 @@ void ShardDriver::handle_coord_frame(const FrameHeader& header,
   }
   OTW_REQUIRE_MSG(header.tag < kReservedTagBase,
                   "worker received a transport control frame");
-  // Relayed (control-plane) frame: attribute the link to the sender's shard
-  // per our current owner map — best effort under migration, exact otherwise.
+  // Relayed (control-plane) frame: attribute the link to the sender's shard.
   const std::uint32_t src_shard =
       header.src_lp < num_lps_ ? owners_[header.src_lp] : shard_;
   route_inbound(frame, header, src_shard);
@@ -1060,9 +970,7 @@ FrameHeader ShardDriver::control_header(WireTag tag,
 }
 
 void ShardDriver::send_done() {
-  std::uint8_t payload[8];
-  std::memcpy(payload, &migrations_in_, 8);
-  coord_.send(control_header(kTagDone, 8), payload);
+  coord_.send(control_header(kTagDone), nullptr);
   done_announced_ = true;
 }
 
@@ -1070,7 +978,7 @@ void ShardDriver::idle_wait() {
   // Nothing local can run: sleep until a frame arrives, the earliest
   // self-requested wakeup or kIdleWaitNs, whichever comes first, with a
   // zero timeout when a wakeup is already due. Wakeups count only while LPs
-  // may step (the snapshot protocol's Settle and Hold modes step none). An
+  // may step (an epoch's Settle and Hold modes step none). An
   // armed STATS deadline also caps the sleep: an idle shard must keep
   // reporting, or the coordinator's silent-shard watchdog would see a
   // healthy-but-quiet worker as dead.
@@ -1124,9 +1032,8 @@ void ShardDriver::maybe_send_stats() {
 }
 
 void ShardDriver::run() {
-  // Ownership can move and frames may need forwarding even after the local
-  // set drains, so run until the coordinator says FINISH (it waits for every
-  // shard's DONE with settled migration counts).
+  // Peers may still send to this shard after its local set drains, so run
+  // until the coordinator says FINISH (it waits for every shard's DONE).
   for (;;) {
     drain_coordinator();
     drain_links();
@@ -1135,11 +1042,11 @@ void ShardDriver::run() {
     }
     maybe_send_stats();
     flush_links();
-    if (fault_ && snap_mode_ != SnapMode::Run) {
-      // Snapshot protocol engaged: no event stepping. Settle absorbs and
-      // flushes until the coordinator sees global quiescence; Hold freezes
-      // the shard (post-serialize or post-restore) until Resume. STATS keep
-      // flowing either way so the watchdog sees a live shard.
+    if (snap_mode_ != SnapMode::Run) {
+      // An epoch is under way: no event stepping. Settle absorbs and flushes
+      // until the coordinator sees global quiescence; Hold freezes the shard
+      // (after serialize, move or restore) until Resume. STATS keep flowing
+      // either way so the watchdog sees a live shard.
       if (snap_mode_ == SnapMode::Settle) {
         settle_pass();
       }
@@ -1178,10 +1085,6 @@ void ShardDriver::run() {
     }
   }
   OTW_ASSERT(remaining_ == 0);
-  for (const std::deque<std::unique_ptr<EngineMessage>>& stash : pending_in_) {
-    OTW_ASSERT(stash.empty());
-    static_cast<void>(stash);
-  }
 }
 
 void ShardDriver::report(const std::vector<std::uint8_t>& harvest) {
@@ -1374,6 +1277,8 @@ EngineRunResult DistributedEngine::run(const std::vector<LpRunner*>& lps,
   OTW_REQUIRE_MSG(!fault_on || !migration.enabled(),
                   "fault tolerance and on-line migration are mutually "
                   "exclusive (a snapshot would have to version the owner map)");
+  // Snapshots and moves are both epochs of one stop-the-world protocol.
+  const bool epochs_on = fault_on || migration.enabled();
   OTW_REQUIRE_MSG(!fault_on || fault.inject_kill_shard < 0 ||
                       static_cast<bool>(fault.announced_gvt),
                   "an injected kill needs FaultHooks::announced_gvt (the "
@@ -1467,33 +1372,32 @@ EngineRunResult DistributedEngine::run(const std::vector<LpRunner*>& lps,
       send_hello_ack(s);
     }
 
-    // Control-plane state: the authoritative owner map (placement + applied
-    // rebinds) and the migration protocol.
+    // Control-plane state: the authoritative owner map (placement + committed
+    // moves) and termination.
     std::vector<std::uint32_t>& owners = result.final_owners;
-    std::vector<std::uint32_t> epochs(lps.size(), 0);
-    std::vector<std::uint64_t> expected_in(num_shards, 0);
-    std::uint32_t next_epoch = 1;
-    bool migration_inflight = false;
     bool any_done = false;
     bool finish_sent = false;
     std::uint32_t results = 0;              ///< RESULT frames received
     std::vector<bool> has_result(num_shards, false);
-    /// migrations_in of each shard's latest DONE; empty while none is current.
-    std::vector<std::optional<std::uint64_t>> done_in(num_shards);
+    /// Per shard: its latest DONE is current (a recovery voids it).
+    std::vector<bool> done(num_shards, false);
     const std::uint64_t decide_period_ns =
         static_cast<std::uint64_t>(migration.period_ms) * 1'000'000;
     std::uint64_t next_decide_ns =
         migration.enabled() ? mono_ns() + decide_period_ns : kNever;
 
-    // Snapshot / recovery control state (fault tolerance; DESIGN.md 8c).
-    // The protocol is stop-the-world: Settle polls channel-op counters until
-    // they are identical across two rounds AND globally balanced (the
-    // quiescence proof), Cut freezes every LP at the shared GVT, Resettle
-    // absorbs the traffic the cut's flushes produced, Serialize collects the
-    // per-shard blobs, then Resume (commit) or Abort (discard) releases.
+    // Epoch control state (snapshots under fault tolerance, moves under
+    // migration; DESIGN.md 8c). An epoch is stop-the-world: Settle polls
+    // channel-op counters until they are identical across two rounds AND
+    // globally balanced (the quiescence proof), Cut freezes LPs at the
+    // shared GVT (a snapshot every LP, a move only the moving one), Resettle
+    // absorbs the traffic the cut's flushes produced, then Serialize
+    // collects the per-shard blobs or Move installs the new owner and ships
+    // the LP, and Resume (commit) or Abort (discard) releases.
     enum class SnapPhase : std::uint8_t { Idle, Settle, Cut, Resettle,
-                                          Serialize };
+                                          Serialize, Move };
     SnapPhase snap_phase = SnapPhase::Idle;
+    std::optional<MigrationDecision> move;  ///< empty in a snapshot epoch
     std::uint32_t snap_epoch = 0;
     std::uint32_t next_snap_epoch = 1;
     std::uint64_t snap_started_ns = 0;
@@ -1504,7 +1408,7 @@ EngineRunResult DistributedEngine::run(const std::vector<LpRunner*>& lps,
     std::uint32_t snap_report_count = 0;
     std::uint32_t snap_poll_round = 0;  // run-unique poll round id
     bool snap_have_prev = false;
-    std::uint32_t cut_acks = 0;
+    std::uint32_t acks = 0;  ///< Cut or Move acknowledgements in
     bool cut_declined = false;
     std::uint64_t cut_gvt = 0;
     std::vector<std::vector<std::uint8_t>> snap_blobs(num_shards);
@@ -1535,19 +1439,15 @@ EngineRunResult DistributedEngine::run(const std::vector<LpRunner*>& lps,
         }
       }
     };
-    // FINISH once every worker's latest DONE is present and its reported
-    // migrations_in matches the number of LPs rebound TO it — an
-    // order-independent settledness check: a destination's stale DONE (sent
-    // before its MIGRATE arrived) can never satisfy it.
+    // FINISH once every worker's latest DONE is current and no epoch is
+    // under way. A DONE can only reach us before its shard's first counters
+    // ACK of an epoch (a worker outside Run mode never sends one), it aborts
+    // that epoch, and no epoch starts after it, so no LP can move onto a
+    // shard whose DONE we hold.
     const auto try_finish = [&] {
-      if (finish_sent || migration_inflight ||
-          snap_phase != SnapPhase::Idle) {
+      if (finish_sent || snap_phase != SnapPhase::Idle ||
+          std::find(done.begin(), done.end(), false) != done.end()) {
         return;
-      }
-      for (std::uint32_t s = 0; s < num_shards; ++s) {
-        if (done_in[s] != expected_in[s]) {
-          return;
-        }
       }
       broadcast(coordinator_header(kTagFinish), nullptr);
       finish_sent = true;
@@ -1559,7 +1459,17 @@ EngineRunResult DistributedEngine::run(const std::vector<LpRunner*>& lps,
       WireWriter w(p);
       w.u8(code);
       w.u32(epoch);
+      w.u32(move ? move->lp : kNoMove);
+      w.u32(move ? move->to_shard : 0);
       broadcast(coordinator_header(kTagSnapCtl, p.size()), p.data());
+    };
+    const auto end_epoch = [&](std::uint8_t code) {
+      broadcast_snap_ctl(code, snap_epoch);
+      snap_phase = SnapPhase::Idle;
+      snap_have_prev = false;
+      snap_data_count = 0;
+      move.reset();
+      try_finish();
     };
     const auto begin_poll_round = [&] {
       std::fill(snap_reported.begin(), snap_reported.end(), false);
@@ -1570,16 +1480,24 @@ EngineRunResult DistributedEngine::run(const std::vector<LpRunner*>& lps,
       ++snap_poll_round;
       broadcast_snap_ctl(kSnapPoll, snap_poll_round);
     };
-    const auto abort_epoch = [&] {
-      broadcast_snap_ctl(kSnapAbort, snap_epoch);
-      snap_phase = SnapPhase::Idle;
+    const auto begin_epoch = [&](std::optional<MigrationDecision> m) {
+      snap_epoch = next_snap_epoch++;
+      snap_started_ns = mono_ns();
+      snap_phase = SnapPhase::Settle;
       snap_have_prev = false;
-      snap_data_count = 0;
+      move = m;
+      for (auto& b : snap_blobs) {
+        b.clear();
+      }
+      broadcast_snap_ctl(kSnapStop, snap_epoch);
+      begin_poll_round();
+    };
+    const auto abort_epoch = [&] {
       for (auto& b : snap_blobs) {
         b.clear();
       }
       next_snap_ns = mono_ns() + initial_gap_ns;
-      try_finish();
+      end_epoch(kSnapAbort);
     };
     // All SNAP_DATA blobs are in: commit (spill if asked, Abort instead of
     // keeping an epoch that exceeds the budget with nowhere to spill — the
@@ -1633,11 +1551,7 @@ EngineRunResult DistributedEngine::run(const std::vector<LpRunner*>& lps,
         gap_ms = fault.next_gap_ms(cost_ns, total);
       }
       next_snap_ns = mono_ns() + static_cast<std::uint64_t>(gap_ms) * 1'000'000;
-      broadcast_snap_ctl(committed ? kSnapResume : kSnapAbort, snap_epoch);
-      snap_phase = SnapPhase::Idle;
-      snap_have_prev = false;
-      snap_data_count = 0;
-      try_finish();
+      end_epoch(committed ? kSnapResume : kSnapAbort);
       if (committed && kill_armed &&
           snap_epoch >= fault.inject_kill_after_epoch) {
         // Test hook: lose a shard right after a committed cut.
@@ -1740,9 +1654,7 @@ EngineRunResult DistributedEngine::run(const std::vector<LpRunner*>& lps,
     };
     const auto end_recovery = [&] {
       // Every shard is frozen at the cut: stale endgame state is void.
-      for (std::optional<std::uint64_t>& d : done_in) {
-        d.reset();
-      }
+      std::fill(done.begin(), done.end(), false);
       any_done = false;
       incident.restore_ns = mono_ns() - recovery_started_ns;
       result.recoveries.push_back(incident);
@@ -1826,12 +1738,10 @@ EngineRunResult DistributedEngine::run(const std::vector<LpRunner*>& lps,
         ++results;
         return false;
       } else if (header.tag == kTagDone) {
-        OTW_REQUIRE_MSG(header.payload_len == 8, "malformed DONE frame");
-        std::uint64_t migrations_in = 0;
-        std::memcpy(&migrations_in, payload, 8);
-        done_in[s] = migrations_in;
+        OTW_REQUIRE_MSG(header.payload_len == 0, "malformed DONE frame");
+        done[s] = true;
         any_done = true;
-        if (fault_on && snap_phase != SnapPhase::Idle) {
+        if (snap_phase != SnapPhase::Idle) {
           // A shard finished before our Stop reached it (its DONE precedes
           // its settle ACKs in stream order, so we always see it before the
           // cut fires). Cutting would roll completion back — drop the epoch
@@ -1839,41 +1749,14 @@ EngineRunResult DistributedEngine::run(const std::vector<LpRunner*>& lps,
           abort_epoch();
         }
         try_finish();
-      } else if (header.tag == kTagMigrated) {
-        OTW_REQUIRE_MSG(migration_inflight, "unexpected MIGRATED frame");
-        WireReader reader(payload, header.payload_len);
-        const LpId lp = reader.u32();
-        const std::uint32_t to = reader.u32();
-        const std::uint32_t epoch = reader.u32();
-        const std::uint8_t accepted = reader.u8();
-        OTW_REQUIRE_MSG(reader.done() && lp < lps.size() && to < num_shards,
-                        "malformed MIGRATED frame");
-        migration_inflight = false;
-        if (accepted != 0) {
-          ++result.dist.migrations;
-          if (epoch > epochs[lp]) {
-            epochs[lp] = epoch;
-            owners[lp] = to;
-          }
-          ++expected_in[to];
-          std::vector<std::uint8_t> rebind;
-          WireWriter w(rebind);
-          w.u32(lp);
-          w.u32(to);
-          w.u32(epoch);
-          FrameHeader h = coordinator_header(kTagRebind, rebind.size());
-          h.dst_lp = lp;
-          broadcast(h, rebind.data());
-        }
-        try_finish();
       } else if (header.tag == kTagSnapAck) {
-        OTW_REQUIRE_MSG(fault_on && header.payload_len == 21,
+        OTW_REQUIRE_MSG(epochs_on && header.payload_len == 21,
                         "unexpected SNAP_ACK frame");
         WireReader reader(payload, header.payload_len);
         const std::uint8_t kind = reader.u8();
         const std::uint64_t a = reader.u64();
         const std::uint64_t b = reader.u64();
-        // Round id for counters ACKs, epoch for accept/decline.
+        // Round id for counters ACKs, epoch for the others.
         const std::uint32_t seq = reader.u32();
         if (kind == kSnapAckCounters && seq == snap_poll_round &&
             (snap_phase == SnapPhase::Settle ||
@@ -1900,12 +1783,15 @@ EngineRunResult DistributedEngine::run(const std::vector<LpRunner*>& lps,
             }
             if (identical && sum_sent == sum_recv) {
               snap_have_prev = false;
+              acks = 0;
               if (snap_phase == SnapPhase::Settle) {
                 snap_phase = SnapPhase::Cut;
-                cut_acks = 0;
                 cut_declined = false;
                 cut_gvt = 0;
                 broadcast_snap_ctl(kSnapCut, snap_epoch);
+              } else if (move) {
+                snap_phase = SnapPhase::Move;
+                broadcast_snap_ctl(kSnapMove, snap_epoch);
               } else {
                 snap_phase = SnapPhase::Serialize;
                 snap_data_count = 0;
@@ -1919,7 +1805,7 @@ EngineRunResult DistributedEngine::run(const std::vector<LpRunner*>& lps,
           }
         } else if ((kind == kSnapAckAccept || kind == kSnapAckDecline) &&
                    snap_phase == SnapPhase::Cut && seq == snap_epoch) {
-          ++cut_acks;
+          ++acks;
           if (kind == kSnapAckDecline) {
             cut_declined = true;
           } else {
@@ -1927,18 +1813,28 @@ EngineRunResult DistributedEngine::run(const std::vector<LpRunner*>& lps,
                             "shards disagree on the cut GVT");
             cut_gvt = a;
           }
-          if (cut_acks == num_shards) {
+          if (acks == num_shards) {
             if (cut_declined) {
-              // Some shard cannot cut here (done, or GVT still 0); nothing
-              // was mutated — retry after the initial gap.
+              // Some shard cannot cut here (an LP finished, or a snapshot
+              // at GVT 0); a taken cut is digest-neutral — abort, and retry
+              // a snapshot after the initial gap.
               abort_epoch();
             } else {
               // The cut's rollbacks flushed fresh sends; settle again
-              // before asking anyone to serialize.
+              // before asking anyone to serialize or ship.
               snap_phase = SnapPhase::Resettle;
               snap_have_prev = false;
               begin_poll_round();
             }
+          }
+        } else if (kind == kSnapAckMoved && snap_phase == SnapPhase::Move &&
+                   seq == snap_epoch) {
+          if (++acks == num_shards) {
+            // Every worker routes by the new owner and the destination
+            // holds the LP: the move is committed.
+            ++result.dist.migrations;
+            owners[move->lp] = move->to_shard;
+            end_epoch(kSnapResume);
           }
         }
         // Stale ACKs (a recovery voided the epoch mid-flight) drop here.
@@ -2000,8 +1896,8 @@ EngineRunResult DistributedEngine::run(const std::vector<LpRunner*>& lps,
 
     // Phase 2: control loop. Only control frames arrive here — GVT
     // tokens/announces, relayed by the owner map — plus the termination,
-    // migration, snapshot and recovery protocols (DONE/MIGRATED/SNAP_*/
-    // RECOVERED in, MIGRATE_CMD/REBIND/FINISH/SNAP_CTL/RECOVER out).
+    // epoch and recovery protocols (DONE/SNAP_*/RECOVERED in,
+    // FINISH/SNAP_CTL/RECOVER out).
     std::vector<pollfd> pfds(num_shards);
     while (results < num_shards) {
       for (std::uint32_t s = 0; s < num_shards; ++s) {
@@ -2013,9 +1909,13 @@ EngineRunResult DistributedEngine::run(const std::vector<LpRunner*>& lps,
       const bool may_snapshot = fault_on && recovering == 0 &&
                                 snap_phase == SnapPhase::Idle &&
                                 !finish_sent && !any_done && results == 0;
+      // Moves start at most one per decide tick, never during another epoch
+      // or after any shard's DONE (endgame).
+      const bool may_decide = migration.enabled() &&
+                              snap_phase == SnapPhase::Idle && !any_done &&
+                              !finish_sent;
       int timeout_ms = -1;
-      if (migration.enabled() && !any_done && !finish_sent &&
-          !migration_inflight) {
+      if (may_decide) {
         const std::uint64_t now = mono_ns();
         timeout_ms = next_decide_ns <= now
                          ? 0
@@ -2056,33 +1956,16 @@ EngineRunResult DistributedEngine::run(const std::vector<LpRunner*>& lps,
         }
       }
       if (may_snapshot && snapshot_due(mono_ns())) {
-        snap_epoch = next_snap_epoch++;
-        snap_started_ns = mono_ns();
-        snap_phase = SnapPhase::Settle;
-        snap_have_prev = false;
-        for (auto& b : snap_blobs) {
-          b.clear();
-        }
-        broadcast_snap_ctl(kSnapStop, snap_epoch);
-        begin_poll_round();
+        begin_epoch(std::nullopt);
       }
-      if (migration.enabled() && !any_done && !finish_sent &&
-          !migration_inflight && mono_ns() >= next_decide_ns) {
+      if (may_decide && mono_ns() >= next_decide_ns) {
         next_decide_ns = mono_ns() + decide_period_ns;
         const std::optional<MigrationDecision> d = migration.decide(owners);
         if (d.has_value()) {
           OTW_REQUIRE_MSG(d->lp < lps.size() && d->to_shard < num_shards &&
                               owners[d->lp] != d->to_shard,
                           "invalid migration decision");
-          std::vector<std::uint8_t> cmd;
-          WireWriter w(cmd);
-          w.u32(d->lp);
-          w.u32(d->to_shard);
-          w.u32(next_epoch++);
-          FrameHeader h = coordinator_header(kTagMigrateCmd, cmd.size());
-          h.dst_lp = d->lp;
-          send_to(owners[d->lp], h, cmd.data());
-          migration_inflight = true;
+          begin_epoch(d);
         }
       }
       for (std::uint32_t s = 0; s < num_shards; ++s) {

@@ -7,7 +7,7 @@
 // HELLO-ACK answers with the full port table). Data frames travel one hop on
 // the (src,dst) peer link; the coordinator keeps only control-plane duties
 // (HELLO/RESULT/STATS, GVT tokens and announces, clock pings, the
-// flight-recorder feed, and the migration protocol below).
+// flight-recorder feed, and the epoch protocol below).
 //
 // Each directed pair of shards exchanges data frames over exactly one ordered
 // TCP stream (the peer link), which is the per-(src,dst) FIFO — the
@@ -23,11 +23,12 @@
 //
 // LP -> shard placement is a table (DistributedConfig::placement, filled by
 // a partitioner or defaulting to round-robin), and it can change mid-run:
-// the coordinator may order an LP migrated (MigrationHooks), the source
-// shard freezes it at a GVT cut and ships it over the peer link in a
-// MIGRATE frame, and the coordinator rebinds routing with an epoch-tagged
-// REBIND broadcast. Owner maps only ever advance to higher epochs, so
-// forwarding chains for in-flight frames are acyclic and terminate.
+// the coordinator may order an LP migrated (MigrationHooks). A move is an
+// epoch of the same stop-the-world protocol that takes snapshots
+// (FaultHooks): every shard stops stepping until no frame is in flight,
+// the owner freezes the LP at the GVT cut, every worker installs the new
+// owner, the LP travels to its destination in one MIGRATE frame over the
+// peer link, and only then does the cluster resume.
 //
 // Inside one worker, a single-threaded shard driver round-robins the local
 // LPs exactly like the other engines: local cross-LP messages move through
@@ -108,29 +109,19 @@ struct DistributedConfig {
   return shard_of_lp(lp, config.num_shards);
 }
 
-/// Implemented by LP runners that can be moved between shards mid-run. The
-/// engine freezes the LP on the source shard (migrate_out serializes its
-/// whole dynamic state into a MIGRATE frame payload; the LP must roll back
-/// to its GVT cut and drain in-flight local work first) and revives it on
-/// the destination (migrate_in consumes the same byte stream). Both run
-/// between step() calls, with `ctx` bound to the calling shard's driver.
-/// migrate_out returns false to decline the move (the LP completed while
-/// draining its backlog); the writer's partial output is then discarded.
+/// Implemented by LP runners that the epoch protocol can freeze, serialize
+/// and restore: a snapshot epoch (fault tolerance) images every LP, a move
+/// epoch (on-line migration) ships one LP to another shard. Settle lets the
+/// LP absorb in-flight traffic without processing new events, cut freezes
+/// it at the global GVT cut, encode serializes the frozen LP (the MIGRATE
+/// revival layout) without consuming it, and restore rebuilds an LP from
+/// such bytes: a survivor rewinding to a committed cut, a replacement or a
+/// move's destination reviving its pre-fork copy. All of them run between
+/// step() calls, with `ctx` bound to the calling shard's driver. Default
+/// implementations make runners that cannot move decline every cut.
 class MigratableLp {
  public:
   virtual ~MigratableLp() = default;
-  [[nodiscard]] virtual bool migrate_out(LpContext& ctx, WireWriter& writer) = 0;
-  virtual void migrate_in(LpContext& ctx, WireReader& reader) = 0;
-
-  // --- shard-level checkpoint/restart (fault tolerance) ---
-  // The snapshot protocol reuses the migration machinery but keeps the LP
-  // alive: settle lets the LP absorb in-flight traffic without processing
-  // new events, cut freezes it at the global GVT cut (the same forced
-  // rollback migrate_out performs), encode serializes the frozen LP in the
-  // MIGRATE revival layout WITHOUT consuming it, and restore rewinds a
-  // *live* LP back to a previously encoded cut (migrate_in semantics plus
-  // dropping any post-cut aggregation batches). Default implementations
-  // make non-checkpointable runners decline every snapshot.
 
   /// Absorbs pending traffic (drain inboxes, forward GVT tokens, flush
   /// aggregation windows) without processing events. Returns true when any
@@ -141,7 +132,7 @@ class MigratableLp {
   }
   /// Rolls the LP back to its current GVT cut and flushes every held send
   /// and aggregation batch (their antis/events re-enter the settle loop).
-  /// Returns false to decline (GVT still zero, or the LP completed).
+  /// Returns false to decline (the LP completed).
   [[nodiscard]] virtual bool snapshot_cut(LpContext& ctx) {
     static_cast<void>(ctx);
     return false;
@@ -152,8 +143,9 @@ class MigratableLp {
     static_cast<void>(ctx);
     static_cast<void>(writer);
   }
-  /// Rewinds a live LP to an encoded cut (survivor side of a recovery) or
-  /// initializes a fresh replacement from one (migrate_in semantics).
+  /// Rebuilds the LP from an encoded cut, whatever state it held before:
+  /// a survivor of a recovery rewinds to it, a replacement worker or a
+  /// move's destination revives its copy from it.
   virtual void snapshot_restore(LpContext& ctx, WireReader& reader) {
     static_cast<void>(ctx);
     static_cast<void>(reader);
@@ -173,10 +165,11 @@ struct MigrationDecision {
 };
 
 /// On-line migration control (>= 2 shards). When enabled, the coordinator
-/// calls `decide` every period_ms with the current owner map; a returned
-/// decision triggers the MIGRATE_CMD -> MIGRATE -> MIGRATED -> REBIND
-/// sequence. At most one migration is in flight at a time, and the
-/// coordinator stops deciding once any shard first drains (endgame).
+/// calls `decide` every period_ms with the current owner map while no epoch
+/// is under way; a returned decision runs as one move epoch (stop, settle,
+/// cut the LP, resettle, move, resume; DESIGN.md section 8b), which pauses
+/// every shard. The coordinator stops deciding once any shard first drains
+/// (endgame). Mutually exclusive with FaultHooks.
 struct MigrationHooks {
   /// Decision cadence; 0 disables migration entirely.
   std::uint32_t period_ms = 0;

@@ -169,7 +169,6 @@ struct DistStats {
   std::uint64_t frames_sent = 0;       ///< frames written to the socket
   std::uint64_t frames_received = 0;   ///< frames decoded from the socket
   std::uint64_t frames_relayed = 0;    ///< frames forwarded by the coordinator
-  std::uint64_t frames_forwarded = 0;  ///< frames a worker re-shipped to the owner (stale routing epoch)
   std::uint64_t bytes_sent = 0;        ///< header + payload bytes written
   std::uint64_t bytes_received = 0;    ///< header + payload bytes decoded
   std::uint64_t gvt_token_frames = 0;  ///< control frames (GVT tokens/announces)
@@ -184,7 +183,6 @@ struct DistStats {
     frames_sent += other.frames_sent;
     frames_received += other.frames_received;
     frames_relayed += other.frames_relayed;
-    frames_forwarded += other.frames_forwarded;
     bytes_sent += other.bytes_sent;
     bytes_received += other.bytes_received;
     gvt_token_frames += other.gvt_token_frames;

@@ -51,15 +51,12 @@ inline constexpr WireTag kTagResult = 0xFF02;      ///< worker -> coordinator: s
 inline constexpr WireTag kTagStats = 0xFF03;       ///< worker -> coordinator: live snapshot
 inline constexpr WireTag kTagHelloAck = 0xFF04;    ///< coordinator -> worker: send_ns = t_c, payload = peer directory
 inline constexpr WireTag kTagTime = 0xFF05;        ///< clock refresh ping / echo
-inline constexpr WireTag kTagMigrateCmd = 0xFF06;  ///< coordinator -> source shard: freeze + ship one LP
-inline constexpr WireTag kTagMigrate = 0xFF07;     ///< source -> destination peer link: serialized LP (dst_lp = LP id)
-inline constexpr WireTag kTagMigrated = 0xFF08;    ///< source -> coordinator: migration complete, rebind now
-inline constexpr WireTag kTagRebind = 0xFF09;      ///< coordinator -> all workers: epoch-tagged owner update
+inline constexpr WireTag kTagMigrate = 0xFF07;     ///< source -> destination peer link: serialized LP of a move epoch (dst_lp = LP id)
 inline constexpr WireTag kTagPeerHello = 0xFF0A;   ///< identity frame on a freshly dialed peer link (src_lp = shard)
-inline constexpr WireTag kTagDone = 0xFF0B;        ///< worker -> coordinator: local active set drained, payload u64 migrations_in
+inline constexpr WireTag kTagDone = 0xFF0B;        ///< worker -> coordinator: local active set drained (no payload)
 inline constexpr WireTag kTagFinish = 0xFF0C;      ///< coordinator -> all workers: harvest and report RESULT
-inline constexpr WireTag kTagSnapCtl = 0xFF0D;     ///< coordinator -> all workers: snapshot phase change (payload u8 phase + u32 epoch)
-inline constexpr WireTag kTagSnapAck = 0xFF0E;     ///< worker -> coordinator: settle counters / cut outcome for one poll round
+inline constexpr WireTag kTagSnapCtl = 0xFF0D;     ///< coordinator -> all workers: epoch phase change (payload u8 phase + u32 epoch + u32 lp + u32 to)
+inline constexpr WireTag kTagSnapAck = 0xFF0E;     ///< worker -> coordinator: settle counters / cut outcome / move installed
 inline constexpr WireTag kTagSnapData = 0xFF0F;    ///< worker -> coordinator: serialized shard blob for one snapshot epoch
 inline constexpr WireTag kTagRecover = 0xFF10;     ///< coordinator -> survivors: dead shard id + replacement mesh port + epoch
 inline constexpr WireTag kTagRestore = 0xFF11;     ///< coordinator -> replacement worker: shard blob of the last complete cut

@@ -230,8 +230,8 @@ RunResult run_distributed_impl(const Model& model, const KernelConfig& config,
         const auto [lp, to] = forced[state.next_forced];
         if (lp < owners.size() && owners[lp] != to) {
           // Re-issued every period until the owner map shows the move took:
-          // a shard may decline (LP finished, or GVT has not advanced past
-          // zero yet) and the coordinator drops declined epochs on the floor.
+          // a move epoch aborts when its LP has finished or a shard reports
+          // DONE mid-epoch, and an aborted move is not retried by itself.
           return platform::MigrationDecision{lp, to};
         }
         // Applied (or the partitioner beat us): advance to the next move.

@@ -129,13 +129,15 @@ struct KernelConfig {
     PartitionKind partition = PartitionKind::CommGraph;
   } engine;
 
-  /// On-line LP migration (Distributed engine, >= 2 shards). The
-  /// coordinator samples per-shard work every period_ms via the live plane,
-  /// feeds the <O,I,S,T,P> load-balance controller (core/
-  /// load_balance_controller.hpp), and past the dead-zoned threshold orders
-  /// the hottest LP on the hottest shard frozen at a GVT cut and shipped to
-  /// the coldest shard. The adaptive path needs the live plane
-  /// (observability.live) for its observations; `forced` works without it.
+  /// On-line LP migration (Distributed engine, >= 2 shards; DESIGN.md
+  /// section 8b). The coordinator samples per-shard work every period_ms
+  /// via the live plane, feeds the <O,I,S,T,P> load-balance controller
+  /// (core/load_balance_controller.hpp), and past the dead-zoned threshold
+  /// moves the hottest LP on the hottest shard to the coldest shard. Each
+  /// move is one stop-the-world epoch of the snapshot protocol: every shard
+  /// pauses while the LP is frozen at the GVT cut and shipped. The adaptive
+  /// path needs the live plane (observability.live) for its observations;
+  /// `forced` works without it. Mutually exclusive with `fault`.
   struct Migration {
     bool enabled = false;
     /// Control period P: how often the coordinator evaluates the controller.
@@ -251,40 +253,29 @@ class LogicalProcess final : public platform::LpRunner,
   platform::StepStatus step(platform::LpContext& ctx) override;
 
   // --- platform::MigratableLp ---
-  /// Freezes this LP at the current GVT cut and serializes it into the
-  /// MIGRATE frame body (DESIGN.md section 8b): drains the engine inbox,
-  /// rolls every runtime back to the cut, settles the resulting same-LP
-  /// anti-messages, flushes held sends and aggregation batches, then writes
-  /// gvt / gvt_agent / lp_stats / events_total / samples / runtimes. Returns
-  /// false (declining the move) when the drain completes the LP.
-  [[nodiscard]] bool migrate_out(platform::LpContext& ctx,
-                                 platform::WireWriter& writer) override;
-  /// Rebuilds this LP from a MIGRATE frame body on the destination shard.
-  /// The shipped GVT cut replaces local progress; per-LP controllers restart
-  /// fresh and the restored runtimes checkpoint at Position::before_all().
-  void migrate_in(platform::LpContext& ctx,
-                  platform::WireReader& reader) override;
-
-  /// Snapshot settle pass (DESIGN.md section 8c): drains the engine inbox,
+  /// Epoch settle pass (DESIGN.md section 8c): drains the engine inbox,
   /// delivers deferred same-LP events and force-flushes the aggregation
   /// channel so parked (already Mattern-counted) events reach the wire and
   /// the shard's channel-op counters can stabilize. Processes no events.
   /// Returns true when anything moved (the shard is not yet quiescent).
   bool snapshot_settle(platform::LpContext& ctx) override;
   /// Cut phase: rolls every runtime back to the current GVT
-  /// (migration_freeze), settles the resulting same-LP anti-messages and
-  /// flushes held sends and channel batches. Declines (returns false) when
-  /// the LP is done, uninitialized, or GVT is still zero — the coordinator
-  /// aborts the epoch and retries later; an executed cut is digest-neutral,
-  /// so no undo is needed.
+  /// (migration_freeze; at GVT 0, to just after the initial state), settles
+  /// the resulting same-LP anti-messages and flushes held sends and channel
+  /// batches. Declines (returns false) when the LP is done — the
+  /// coordinator aborts the epoch; an executed cut is digest-neutral, so no
+  /// undo is needed.
   [[nodiscard]] bool snapshot_cut(platform::LpContext& ctx) override;
-  /// Serializes this LP in the MIGRATE travelling layout without disturbing
-  /// it (ObjectRuntime::encode_frozen); the LP keeps executing after resume.
+  /// Serializes this LP in the MIGRATE travelling layout (DESIGN.md section
+  /// 8b: gvt / gvt_agent / lp_stats / events_total / samples / runtimes)
+  /// without disturbing it (ObjectRuntime::encode_frozen).
   void snapshot_encode(platform::LpContext& ctx,
                        platform::WireWriter& writer) override;
-  /// Restores this LP in place from a snapshot blob (survivor rollback or
-  /// replacement revival): clears the aggregation channel and local inbox,
-  /// then rebuilds exactly like migrate_in.
+  /// Rebuilds this LP from an encoded cut (survivor rollback, replacement
+  /// revival or a move's destination): the shipped GVT cut replaces local
+  /// progress, every LP-local transient and the aggregation channel are
+  /// cleared, per-LP controllers restart fresh and the restored runtimes
+  /// checkpoint at Position::before_all().
   void snapshot_restore(platform::LpContext& ctx,
                         platform::WireReader& reader) override;
   [[nodiscard]] std::uint64_t snapshot_gvt_ticks() const noexcept override {

@@ -126,34 +126,27 @@ class ObjectRuntime final : public ObjectContext {
   /// Commits remaining history and calls the object's finalize().
   void finalize();
 
-  /// First phase of migration: rolls back every processed event at/after
+  /// First phase of an epoch cut: rolls back every processed event at/after
   /// the GVT cut `gvt` (cancelling their outputs per the cancellation
-  /// strategy) and force-misses the comparison lists. The resulting
-  /// anti-messages may target sibling runtimes of the same LP, so the LP
-  /// freezes ALL of its runtimes first, then drains the deferred local
-  /// deliveries (each anti annihilates a now-unprocessed event — no further
-  /// rollback), and only then serializes: an anti-message must never reach
-  /// an already-serialized sibling.
+  /// strategy) and force-misses the comparison lists. At GVT 0 the cut lies
+  /// just after the initial state, which no real event precedes. The
+  /// resulting anti-messages may target sibling runtimes of the same LP, so
+  /// the LP freezes ALL of its runtimes first, then drains the deferred
+  /// local deliveries (each anti annihilates a now-unprocessed event — no
+  /// further rollback), and only then serializes: an anti-message must
+  /// never reach an already-serialized sibling.
   void migration_freeze(VirtualTime gvt);
 
-  /// Second phase: commits the surviving processed prefix in place and
-  /// serializes the runtime's travelling state (the `runtimes` group of the
-  /// MIGRATE frame; DESIGN.md section 8b). Requires migration_freeze() and
-  /// a settled local inbox. After this call the runtime is inert on the
-  /// source shard.
-  void migrate_out(platform::WireWriter& w, VirtualTime gvt);
-
-  /// Non-destructive variant of migrate_out's serialization: writes the
-  /// identical travelling layout (snapshot/restart reuses the MIGRATE
-  /// revival path, DESIGN.md section 8c) but leaves every queue, stat and
-  /// controller untouched so the runtime keeps executing afterwards.
-  /// Requires the same preconditions as migrate_out (frozen + settled).
+  /// Serializes the frozen runtime's travelling state (the `runtimes` group
+  /// of the MIGRATE frame; DESIGN.md section 8b) and leaves every queue,
+  /// stat and controller untouched. Requires migration_freeze() and a
+  /// settled local inbox.
   void encode_frozen(platform::WireWriter& w);
 
-  /// Migration restore: resets every queue/checkpoint structure and rebuilds
-  /// the runtime from a MIGRATE payload. `gvt` is the same cut; the restored
-  /// state is checkpointed at Position::before_all(), which any legal
-  /// rollback (>= gvt, below every shipped event) can restore.
+  /// Restore: resets every queue/checkpoint structure and rebuilds the
+  /// runtime from encode_frozen's bytes. `gvt` is the same cut; the
+  /// restored state is checkpointed at Position::before_all(), which any
+  /// legal rollback (>= gvt, below every shipped event) can restore.
   void migrate_in(platform::WireReader& r, VirtualTime gvt);
 
   // --- ObjectContext (application-facing) ---
@@ -235,12 +228,6 @@ class ObjectRuntime final : public ObjectContext {
   /// Copies of aggressively cancelled outputs kept only to maintain HR
   /// ("lazy aggressive hits"); sorted by cause.
   std::vector<OutputEntry> passive_;
-  /// Anti-messages that arrived before their positive message. Impossible
-  /// on a static placement (per-pair FIFO), but a migration rebind can put
-  /// a positive on the old forwarding path while its anti takes the direct
-  /// link. The positive is still in flight, so Mattern's counts pin GVT at
-  /// or below it — the pair annihilates before it can matter.
-  std::vector<Event> early_antis_;
 
   core::CheckpointIntervalController ckpt_;
   core::CancellationController cancel_;

@@ -16,7 +16,7 @@
 //
 // Placement is digest-neutral: it changes who computes, never what is
 // computed. With on-line migration the result is only the *initial* owner
-// map; the engine's epoch-tagged rebinds take over from there.
+// map; the engine's move epochs change it from there.
 #pragma once
 
 #include <cstdint>

@@ -616,117 +616,6 @@ platform::StepStatus LogicalProcess::step(platform::LpContext& ctx) {
   return platform::StepStatus::Active;
 }
 
-bool LogicalProcess::migrate_out(platform::LpContext& ctx,
-                                 platform::WireWriter& w) {
-  ctx_ = &ctx;
-  struct CtxReset {
-    platform::LpContext** slot;
-    ~CtxReset() { *slot = nullptr; }
-  } reset{&ctx_};
-
-  if (!initialized_) {
-    // Migration ordered before this LP's first step: run time-zero
-    // initialization here so the initial events travel with the state.
-    for (const auto& runtime : runtimes_) {
-      runtime->initialize();
-    }
-    deliver_local_pending();
-    initialized_ = true;
-  }
-  // The engine requires the inbox drained before the LP leaves this shard.
-  drain();
-  if (done_) {
-    return false;  // completed while draining: decline the move
-  }
-  if (gvt_value_ == VirtualTime{0}) {
-    // A cut at GVT zero degenerates to Position::before_all(), and nothing
-    // is checkpointed strictly before the initial state. Decline; the
-    // coordinator re-issues the order once the first GVT round has landed.
-    return false;
-  }
-
-  // Freeze phase: every runtime rolls back to the GVT cut before ANY of the
-  // resulting same-LP anti-messages are delivered — each anti then meets a
-  // now-unprocessed positive and annihilates without further rollback. Only
-  // after the local inbox settles is it safe to serialize.
-  for (const auto& runtime : runtimes_) {
-    runtime->migration_freeze(gvt_value_);
-  }
-  deliver_local_pending();
-  // Held sends and aggregation batches cannot travel: ship them now, so
-  // their Mattern colors are counted before the GVT agent is serialized.
-  flush_held(VirtualTime::infinity());
-  channel_.flush_all(ctx.now_ns(), [this](LpId to, std::vector<Event>&& batch) {
-    ship_batch(to, std::move(batch));
-  });
-  OTW_ASSERT(local_inbox_.empty() && held_sends_.empty() &&
-             !channel_.has_pending());
-
-  w.u64(gvt_value_.ticks());
-  gvt_.export_state(w);
-  detail::write_pod(w, stats_);
-  w.u64(events_processed_total_);
-  detail::write_pod_vector(w, trace_);
-  w.u32(static_cast<std::uint32_t>(runtimes_.size()));
-  for (const auto& runtime : runtimes_) {
-    runtime->migrate_out(w, gvt_value_);
-  }
-  return true;
-}
-
-void LogicalProcess::migrate_in(platform::LpContext& ctx,
-                                platform::WireReader& r) {
-  ctx_ = &ctx;
-  struct CtxReset {
-    platform::LpContext** slot;
-    ~CtxReset() { *slot = nullptr; }
-  } reset{&ctx_};
-
-  gvt_value_ = VirtualTime{r.u64()};
-  gvt_.import_state(r);
-  stats_ = detail::read_pod<LpStats>(r);
-  events_processed_total_ = r.u64();
-  trace_ = detail::read_pod_vector<LpSample>(r);
-
-  // This incarnation may hold stale state from a life before an earlier
-  // migrate-out (or none at all): reset every LP-local transient and rebuild
-  // the per-LP controllers exactly as the constructor did. The shipped state
-  // replaces time-zero initialization.
-  local_inbox_.clear();
-  held_sends_.clear();
-  optimism_rolled_back_ = 0;
-  pressure_enter_ns_ = 0;
-  last_epoch_start_ns_ = 0;
-  epoch_ever_started_ = false;
-  events_since_sample_ = 0;
-  initialized_ = true;
-  done_ = false;
-  if (config_.optimism.mode == KernelConfig::Optimism::Mode::Adaptive) {
-    auto control = config_.optimism.control;
-    control.initial_window = config_.optimism.window;
-    control.min_window = std::min(control.min_window, control.initial_window);
-    control.max_window = std::max(control.max_window, control.initial_window);
-    optimism_.emplace(control);
-  }
-  if (config_.memory.budget_bytes > 0) {
-    const std::uint64_t per_lp = std::max<std::uint64_t>(
-        config_.memory.budget_bytes / config_.num_lps, 1);
-    pressure_.emplace(per_lp, config_.memory.control);
-    stats_.memory_budget_bytes = per_lp;
-  }
-
-  const std::uint32_t count = r.u32();
-  OTW_REQUIRE_MSG(count == runtimes_.size(),
-                  "MIGRATE frame runtime count mismatch");
-  for (std::uint32_t i = 0; i < count; ++i) {
-    const ObjectId object_id = r.u32();
-    local_object(object_id).migrate_in(r, gvt_value_);
-  }
-  if (live_ != nullptr) {
-    publish_live();
-  }
-}
-
 bool LogicalProcess::snapshot_settle(platform::LpContext& ctx) {
   ctx_ = &ctx;
   struct CtxReset {
@@ -777,17 +666,12 @@ bool LogicalProcess::snapshot_cut(platform::LpContext& ctx) {
   if (done_) {
     return false;  // endgame: a finished LP has nothing left to protect
   }
-  if (gvt_value_ == VirtualTime{0}) {
-    // Same degeneration as migrate_out: a cut at GVT zero has no checkpoint
-    // strictly before it. Decline; the coordinator retries after the first
-    // GVT round lands. (Quiescence guarantees no epoch is in flight, so all
-    // LPs agree on gvt_value_ and decline or accept together.)
-    return false;
-  }
-  // Freeze exactly like a migration: every runtime rolls back to the cut
-  // before any same-LP anti is delivered, then the inbox settles and held
-  // sends / open aggregates reach the wire. The coordinator re-settles the
-  // mesh afterwards, so cut-born antis land before serialization.
+  // Every runtime rolls back to the cut before any same-LP anti is
+  // delivered — each anti then meets a now-unprocessed positive and
+  // annihilates without further rollback — then the inbox settles and held
+  // sends / open aggregates reach the wire, their Mattern colors counted
+  // before the GVT agent is serialized. The coordinator re-settles the mesh
+  // afterwards, so cut-born antis land before serialization.
   for (const auto& runtime : runtimes_) {
     runtime->migration_freeze(gvt_value_);
   }
@@ -809,8 +693,8 @@ void LogicalProcess::snapshot_encode(platform::LpContext& ctx,
     ~CtxReset() { *slot = nullptr; }
   } reset{&ctx_};
 
-  // Identical layout to migrate_out's body — restore IS migrate_in — but
-  // nothing is reset: the LP keeps executing after the epoch resumes.
+  // Nothing is reset: a snapshot's LP keeps executing after the epoch
+  // resumes, and a moved LP's copy left behind is only ever restored.
   OTW_ASSERT(local_inbox_.empty() && held_sends_.empty() &&
              !channel_.has_pending());
   w.u64(gvt_value_.ticks());
@@ -826,11 +710,57 @@ void LogicalProcess::snapshot_encode(platform::LpContext& ctx,
 
 void LogicalProcess::snapshot_restore(platform::LpContext& ctx,
                                       platform::WireReader& r) {
-  // A surviving LP may hold post-cut aggregates from the incarnation being
-  // rolled back; they must never reach the wire. (migrate_in clears the
-  // local inbox and every other transient itself.)
+  ctx_ = &ctx;
+  struct CtxReset {
+    platform::LpContext** slot;
+    ~CtxReset() { *slot = nullptr; }
+  } reset{&ctx_};
+
+  gvt_value_ = VirtualTime{r.u64()};
+  gvt_.import_state(r);
+  stats_ = detail::read_pod<LpStats>(r);
+  events_processed_total_ = r.u64();
+  trace_ = detail::read_pod_vector<LpSample>(r);
+
+  // This copy may hold the state of a rolled-back incarnation, of an
+  // earlier stay on this shard, or none at all: reset every LP-local
+  // transient and rebuild the per-LP controllers exactly as the constructor
+  // did. Post-cut aggregates must never reach the wire. The shipped state
+  // replaces time-zero initialization.
   channel_.discard_all();
-  migrate_in(ctx, r);
+  local_inbox_.clear();
+  held_sends_.clear();
+  optimism_rolled_back_ = 0;
+  pressure_enter_ns_ = 0;
+  last_epoch_start_ns_ = 0;
+  epoch_ever_started_ = false;
+  events_since_sample_ = 0;
+  initialized_ = true;
+  done_ = false;
+  if (config_.optimism.mode == KernelConfig::Optimism::Mode::Adaptive) {
+    auto control = config_.optimism.control;
+    control.initial_window = config_.optimism.window;
+    control.min_window = std::min(control.min_window, control.initial_window);
+    control.max_window = std::max(control.max_window, control.initial_window);
+    optimism_.emplace(control);
+  }
+  if (config_.memory.budget_bytes > 0) {
+    const std::uint64_t per_lp = std::max<std::uint64_t>(
+        config_.memory.budget_bytes / config_.num_lps, 1);
+    pressure_.emplace(per_lp, config_.memory.control);
+    stats_.memory_budget_bytes = per_lp;
+  }
+
+  const std::uint32_t count = r.u32();
+  OTW_REQUIRE_MSG(count == runtimes_.size(),
+                  "MIGRATE frame runtime count mismatch");
+  for (std::uint32_t i = 0; i < count; ++i) {
+    const ObjectId object_id = r.u32();
+    local_object(object_id).migrate_in(r, gvt_value_);
+  }
+  if (live_ != nullptr) {
+    publish_live();
+  }
 }
 
 LpStats LogicalProcess::snapshot_lp_stats() const {

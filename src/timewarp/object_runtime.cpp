@@ -216,16 +216,9 @@ void ObjectRuntime::receive(const Event& event) {
                   event.recv_time.ticks());
     }
     const auto status = input_->find_match(event);
-    if (status == MatchStatus::NotFound) {
-      // The anti overtook its positive message. Per-pair FIFO makes that
-      // impossible on a static placement, but after a migration rebind the
-      // positive can still be on the old owner's forwarding path while the
-      // anti takes the direct link. Park the anti; the positive is in
-      // flight, so Mattern's counts hold GVT at or below it until the pair
-      // annihilates in the positive branch below.
-      early_antis_.push_back(event);
-      return;
-    }
+    OTW_REQUIRE_MSG(status != MatchStatus::NotFound,
+                    "anti-message with no positive to annihilate: every "
+                    "transport is FIFO per (source, destination) pair");
     if (status == MatchStatus::Processed) {
       rollback(event.position(), event, /*cancel_at_target=*/true);
       // The annihilated event itself was processed and is now undone (the
@@ -238,16 +231,6 @@ void ObjectRuntime::receive(const Event& event) {
     // hit/miss — this is cascaded cancellation, not failed speculation.
     purge_entries_caused_by(event.position());
   } else {
-    if (!early_antis_.empty()) {
-      const auto match = std::find_if(
-          early_antis_.begin(), early_antis_.end(),
-          [&](const Event& anti) { return anti.matches_instance(event); });
-      if (match != early_antis_.end()) {
-        // The parked anti-message meets its positive: annihilate in flight.
-        early_antis_.erase(match);
-        return;
-      }
-    }
     if (input_->insert(event)) {
       ++stats_.stragglers;
       rollback(event.position(), event);
@@ -440,7 +423,6 @@ void ObjectRuntime::fossil_collect(VirtualTime gvt) {
 
 void ObjectRuntime::finalize() {
   OTW_ASSERT(lazy_pending_.empty());
-  OTW_ASSERT(early_antis_.empty());
   stats_.events_committed += input_->processed_count();
   processing_ = true;  // allow finalize() to read state via the context
   object_->finalize(*this);
@@ -451,8 +433,11 @@ void ObjectRuntime::migration_freeze(VirtualTime gvt) {
   OTW_ASSERT(!processing_);
   // The minimal position with receive time == gvt: it orders before every
   // real event at/after the cut, and fossil collection keeps a checkpoint
-  // strictly before it (the kept checkpoint's receive time is < gvt).
-  const Position cut{EventKey{gvt, 0, 0}, 0};
+  // strictly before it (the kept checkpoint's receive time is < gvt). At
+  // GVT 0 that position IS before_all(), where the initial checkpoint sits,
+  // so the cut moves one instance past it; every real event still follows
+  // it, since none has receive time 0 (sends need a delay >= 1).
+  const Position cut{EventKey{gvt, 0, 0}, gvt == VirtualTime{0} ? 1u : 0u};
   if (input_->processed_after(cut) > 0) {
     Event cause;  // synthetic straggler standing in for the freeze order
     cause.sender = id_;
@@ -496,29 +481,13 @@ void ObjectRuntime::encode_frozen(platform::WireWriter& w) {
   detail::write_pod_vector(w, trace_);
   // Remaining output entries have causes below the cut; they can never be
   // cancelled (rollback below GVT is impossible), so the queue is not
-  // serialized. Unprocessed events and parked early antis travel.
+  // serialized. Unprocessed events travel.
   const std::vector<Event> all = input_->snapshot();
   const std::size_t processed = input_->processed_count();
-  w.u32(static_cast<std::uint32_t>((all.size() - processed) +
-                                   early_antis_.size()));
+  w.u32(static_cast<std::uint32_t>(all.size() - processed));
   for (std::size_t i = processed; i < all.size(); ++i) {
     encode_event(w, all[i]);
   }
-  for (const Event& anti : early_antis_) {
-    encode_event(w, anti);
-  }
-}
-
-void ObjectRuntime::migrate_out(platform::WireWriter& w, VirtualTime gvt) {
-  static_cast<void>(gvt);
-  encode_frozen(w);
-  // Inert on this shard from here on: drop the history wholesale. The
-  // committed prefix already travelled inside the shipped stats.
-  input_ = make_pending_set(lp_.queue_kind(), lp_.event_pool());
-  output_ = OutputQueue{};
-  early_antis_.clear();
-  trace_.clear();
-  stats_ = ObjectStats{};
 }
 
 void ObjectRuntime::migrate_in(platform::WireReader& r, VirtualTime gvt) {
@@ -547,7 +516,6 @@ void ObjectRuntime::migrate_in(platform::WireReader& r, VirtualTime gvt) {
                                   config_.full_snapshot_interval, &arena_);
   lazy_pending_.clear();
   passive_.clear();
-  early_antis_.clear();
   ckpt_ = core::CheckpointIntervalController(config_.checkpoint_control);
   cancel_ = core::CancellationController(config_.cancellation);
   events_since_save_ = 0;
@@ -559,16 +527,12 @@ void ObjectRuntime::migrate_in(platform::WireReader& r, VirtualTime gvt) {
 
   const std::uint32_t pending = r.u32();
   for (std::uint32_t i = 0; i < pending; ++i) {
-    Event event = decode_event(r);
-    if (event.negative) {
-      // A parked early anti travels with the LP; its positive is still in
-      // flight and will be forwarded here by the source's stale-route path.
-      early_antis_.push_back(event);
-    } else {
-      const bool straggler = input_->insert(event);
-      OTW_ASSERT(!straggler);  // the queue is empty: nothing processed yet
-      static_cast<void>(straggler);
-    }
+    const Event event = decode_event(r);
+    OTW_REQUIRE_MSG(!event.negative,
+                    "MIGRATE frame carries an anti-message as pending input");
+    const bool straggler = input_->insert(event);
+    OTW_ASSERT(!straggler);  // the queue is empty: nothing processed yet
+    static_cast<void>(straggler);
   }
 
   // One checkpoint of the shipped state at the minimal position: any legal
@@ -619,8 +583,7 @@ MemoryStats ObjectRuntime::memory_footprint() const noexcept {
   m.output_queue_bytes = output_.size() * sizeof(OutputEntry);
   m.state_bytes = states_->stored_bytes();
   m.pending_bytes =
-      (lazy_pending_.size() + passive_.size()) * sizeof(OutputEntry) +
-      early_antis_.size() * sizeof(Event);
+      (lazy_pending_.size() + passive_.size()) * sizeof(OutputEntry);
   m.live_events = input_->size();
   m.checkpoints = states_->entries();
   return m;

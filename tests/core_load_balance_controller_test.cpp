@@ -1,8 +1,9 @@
 // <O,I,S,T,P> load-balance controller (core/load_balance_controller.hpp):
-// pure transfer-function tests. The engine-side actuation (freeze, MIGRATE
-// frame, REBIND) is covered by the MigrationParity differential suite; here
-// we pin the decision policy itself — baseline handling, the dead-zoned
-// threshold, the noise floor, and cooldown hysteresis.
+// pure transfer-function tests. The engine-side actuation (the move epoch:
+// freeze, MIGRATE frame, new owner) is covered by the MigrationParity
+// differential suites; here we pin the decision policy itself — baseline
+// handling, the dead-zoned threshold, the noise floor, and cooldown
+// hysteresis.
 #include <gtest/gtest.h>
 
 #include "otw/core/load_balance_controller.hpp"

@@ -322,9 +322,9 @@ INSTANTIATE_TEST_SUITE_P(Seeds, MeshParity,
 
 /// On-line migration leg: force a mid-run move of LP 0 between shards and
 /// require the committed digests to stay bit-identical to sequential. The
-/// MIGRATE frame (state + unprocessed inputs + parked antis) plus the
-/// epoch-tagged rebind must hand over every event exactly once — any double
-/// delivery, drop or ordering violation shows up as a digest mismatch.
+/// move epoch's MIGRATE frame (state + unprocessed inputs) must hand over
+/// every event exactly once — any double delivery, drop or ordering
+/// violation shows up as a digest mismatch.
 /// Round-robin placement pins LP 0's initial owner to shard 0 so the forced
 /// order {0 -> 1} is always a real move. (Forks; name must dodge the
 /// tsan-stress filter.)
@@ -352,6 +352,49 @@ TEST_P(MigrationParity, ForcedMigrationMatchesSequential) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, MigrationParity,
+                         ::testing::Range<std::uint64_t>(0, 8));
+
+/// Back-to-back moves: three LPs each go to shard 1 and straight back, six
+/// move epochs in a row. Each next order only starts once the previous
+/// epoch committed, so every source holds its LP and every destination
+/// revives a copy whose earlier stay left stale state behind.
+class RoundTripMigrationParity
+    : public ::testing::TestWithParam<std::uint64_t> {};
+
+TEST_P(RoundTripMigrationParity, ThereAndBackMatchesSequential) {
+  const std::uint64_t seed = GetParam();
+  SCOPED_TRACE("round-trip migration seed = " + std::to_string(seed) +
+               " (re-run: --gtest_filter='*RoundTripMigrationParity*/" +
+               std::to_string(seed) + "')");
+  apps::phold::PholdConfig app;
+  app.num_objects = 32;
+  app.num_lps = 8;
+  app.population_per_object = 2;
+  app.remote_probability = 0.5;
+  app.mean_delay = 100;
+  app.seed = seed;
+  const Model model = apps::phold::build_model(app);
+  const VirtualTime end{60'000};
+  const SequentialResult seq = run_sequential(model, end);
+  ASSERT_GT(seq.events_processed, 0u);
+
+  KernelConfig kc;
+  kc.num_lps = app.num_lps;
+  kc.end_time = end;
+  kc.gvt_period_events = 64;
+  kc.batch_size = 8;
+  kc.engine.partition = PartitionKind::RoundRobin;  // even LPs on shard 0
+  kc.migration.enabled = true;
+  kc.migration.period_ms = 2;
+  kc.migration.forced = {{LpId{0}, 1u}, {LpId{0}, 0u}, {LpId{2}, 1u},
+                         {LpId{2}, 0u}, {LpId{4}, 1u}, {LpId{4}, 0u}};
+
+  const RunResult r = run(model, kc.with_engine(EngineKind::Distributed, 2));
+  expect_matches(r, seq, "mesh+round-trip migration");
+  EXPECT_EQ(r.dist.migrations, 6u);
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, RoundTripMigrationParity,
                          ::testing::Range<std::uint64_t>(0, 8));
 
 /// Digest neutrality of the attribution plane on the in-process engines:

@@ -14,8 +14,12 @@
 // Forks worker processes — keep these out of any TSan test filter.
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
 #include <cstdio>
+#include <filesystem>
 #include <string>
+#include <system_error>
 
 #include "otw/apps/phold.hpp"
 #include "otw/platform/snapshot_file.hpp"
@@ -93,10 +97,18 @@ TEST(DistFault, SpilledEpochIsAReadableManifest) {
   const apps::phold::PholdConfig app = small_phold(33);
   const Model model = apps::phold::build_model(app);
   KernelConfig kc = fault_config(app, end);
-  const std::string dir = ::testing::TempDir();
-  kc.fault.spill_dir = dir.back() == '/'
-                           ? dir.substr(0, dir.size() - 1)
-                           : dir;
+  // A directory of its own: concurrent test processes share TempDir(), and
+  // the spill file names repeat from run to run.
+  struct SpillDir {
+    std::filesystem::path path;
+    ~SpillDir() {
+      std::error_code ec;
+      std::filesystem::remove_all(path, ec);
+    }
+  } spill{std::filesystem::path(::testing::TempDir()) /
+          ("otw_spill_" + std::to_string(::getpid()))};
+  std::filesystem::create_directories(spill.path);
+  kc.fault.spill_dir = spill.path.string();
   ASSERT_TRUE(kc.validate().empty());
 
   const RunResult result = run(model, kc);
@@ -130,11 +142,6 @@ TEST(DistFault, SpilledEpochIsAReadableManifest) {
     lps_in_blobs += shard.lp_count();
   }
   EXPECT_EQ(lps_in_blobs, static_cast<std::uint32_t>(app.num_lps));
-  for (std::uint32_t e = 1; e <= 64; ++e) {
-    std::remove((kc.fault.spill_dir + "/otw_snapshot_epoch" +
-                 std::to_string(e) + ".otwsnap")
-                    .c_str());
-  }
 }
 
 }  // namespace

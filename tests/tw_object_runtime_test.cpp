@@ -272,27 +272,14 @@ TEST(ObjectRuntime, AntiMessageOnProcessedRollsBack) {
   EXPECT_EQ(h.state().count, 2u);
 }
 
-TEST(ObjectRuntime, EarlyAntiParksUntilItsPositiveArrives) {
-  // Per-pair FIFO makes anti-before-positive impossible on a static
-  // placement, but a migration rebind can route the positive via the old
-  // owner while the anti takes the direct link. The anti parks; when the
-  // positive lands the pair annihilates in flight — never processed, no
-  // straggler rollback.
+TEST(ObjectRuntime, AntiWithoutItsPositiveIsAContractViolation) {
+  // Every transport is FIFO per (source, destination) pair and an LP moves
+  // only while no frame is in flight, so an anti-message always finds its
+  // positive; one that does not is a protocol fault.
   Harness h(config_with(core::CancellationControlConfig::aggressive()));
   const Event ghost = incoming(10, 0, 0, 1);
-  h.runtime.receive(ghost.make_anti());
-  EXPECT_EQ(h.runtime.stats().anti_messages_received, 1u);
+  EXPECT_THROW(h.runtime.receive(ghost.make_anti()), ContractViolation);
   EXPECT_EQ(h.runtime.stats().rollbacks, 0u);
-  h.runtime.receive(ghost);
-  EXPECT_FALSE(h.runtime.process_next());
-  EXPECT_EQ(h.runtime.stats().events_processed, 0u);
-  EXPECT_EQ(h.runtime.stats().stragglers, 0u);
-  // A different positive with the same position but another instance is NOT
-  // the parked anti's partner and must survive.
-  const Event other = incoming(10, 0, 0, 2);
-  h.runtime.receive(other);
-  EXPECT_TRUE(h.runtime.process_next());
-  EXPECT_EQ(h.runtime.stats().events_processed, 1u);
 }
 
 TEST(ObjectRuntime, AnnihilationCancelsTheEventsOwnOutputsWithoutComparison) {

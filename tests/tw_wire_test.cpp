@@ -164,11 +164,11 @@ TEST(WireCodec, TruncatedFrameIsACleanError) {
 }
 
 // ---------------------------------------------------------------------------
-// MIGRATE frame: the serialized-LP payload produced by migrate_out and
-// consumed by migrate_in (DESIGN.md section 8b). The differential
-// MigrationParity suite proves semantic parity end-to-end; these tests pin
-// the framing itself — exact consumption on decode, clean rejection of a
-// truncated frame — without forking shard processes.
+// MIGRATE frame: the serialized-LP payload produced by snapshot_cut +
+// snapshot_encode and consumed by snapshot_restore (DESIGN.md section 8b).
+// The differential MigrationParity suites prove semantic parity end-to-end;
+// these tests pin the framing itself — exact consumption on decode, clean
+// rejection of a truncated frame — without forking shard processes.
 
 /// Minimal loopback engine: messages go straight into per-LP queues, the
 /// clock is charge()-driven. Enough LpContext for two LogicalProcesses to
@@ -243,9 +243,10 @@ struct MigrateFixture {
   }
 };
 
-/// Runs both LPs round-robin until GVT has advanced past zero (migration
-/// declines a cut at GVT 0), then serializes LP 0 and restores it into a
-/// fresh incarnation. The decode must consume the payload exactly.
+/// Runs both LPs round-robin until GVT has advanced past zero (so the cut
+/// has committed history below it), then cuts and serializes LP 0 and
+/// restores it into a fresh incarnation. The decode must consume the
+/// payload exactly.
 TEST(WireCodec, MigrateFrameRoundtripsExactly) {
   const MigrateFixture fx;
   LoopbackMail mail(2);
@@ -264,12 +265,13 @@ TEST(WireCodec, MigrateFrameRoundtripsExactly) {
   std::vector<std::uint8_t> buf;
   WireWriter writer(buf);
   const VirtualTime cut = lp0->gvt();
-  ASSERT_TRUE(lp0->migrate_out(ctx0, writer));
+  ASSERT_TRUE(lp0->snapshot_cut(ctx0));
+  lp0->snapshot_encode(ctx0, writer);
   ASSERT_FALSE(buf.empty());
 
   const auto restored = fx.make_lp(0);
   WireReader reader(buf.data(), buf.size());
-  restored->migrate_in(ctx0, reader);
+  restored->snapshot_restore(ctx0, reader);
   EXPECT_TRUE(reader.done()) << "MIGRATE payload not fully consumed: "
                              << reader.remaining() << " bytes left";
   EXPECT_EQ(restored->gvt(), cut);
@@ -299,7 +301,8 @@ TEST(WireCodec, TruncatedMigrateFrameIsACleanError) {
 
   std::vector<std::uint8_t> buf;
   WireWriter writer(buf);
-  ASSERT_TRUE(lp0->migrate_out(ctx0, writer));
+  ASSERT_TRUE(lp0->snapshot_cut(ctx0));
+  lp0->snapshot_encode(ctx0, writer);
 
   for (const std::size_t len :
        {std::size_t{0}, std::size_t{7}, buf.size() / 2, buf.size() - 1}) {
@@ -307,7 +310,7 @@ TEST(WireCodec, TruncatedMigrateFrameIsACleanError) {
                  std::to_string(buf.size()));
     const auto victim = fx.make_lp(0);
     WireReader reader(buf.data(), len);
-    EXPECT_THROW(victim->migrate_in(ctx0, reader), ContractViolation);
+    EXPECT_THROW(victim->snapshot_restore(ctx0, reader), ContractViolation);
   }
 }
 
