@@ -110,12 +110,6 @@ class LpContext {
   virtual void request_wakeup(std::uint64_t abs_ns) noexcept {
     static_cast<void>(abs_ns);
   }
-
-  /// Yield hint: true when the engine would rather have this LP return from
-  /// step() soon (other LPs are waiting on the same worker). Purely advisory
-  /// — an LP may ignore it; honoring it improves fairness when workers are
-  /// outnumbered by LPs.
-  [[nodiscard]] virtual bool should_yield() const noexcept { return false; }
 };
 
 /// A logical process as seen by the engine.
@@ -134,7 +128,9 @@ struct WorkerStats {
   std::uint64_t parks = 0;          ///< times this worker parked
   std::uint64_t wakes = 0;          ///< unparks caused by a wake token
   std::uint64_t timer_fires = 0;    ///< timer-wheel entries this worker fired
-  std::uint64_t yields = 0;         ///< steps where the yield hint was taken
+  /// Always 0: a step runs its whole batch (KernelConfig::batch_size), so no
+  /// step is cut short. Kept because perfbench reads it.
+  std::uint64_t yields = 0;
 };
 
 /// Scheduler-level telemetry (empty unless produced by a worker-pool engine).

@@ -385,15 +385,7 @@ class ThreadContext final : public LpContext {
   ThreadContext(Scheduler& sched, std::uint32_t worker)
       : sched_(sched), worker_(worker) {}
 
-  void begin_step(std::uint32_t lp) noexcept {
-    lp_ = lp;
-    yielded_ = false;
-  }
-  void end_step() noexcept {
-    if (yielded_) {
-      ++sched_.worker(worker_).stats.yields;
-    }
-  }
+  void begin_step(std::uint32_t lp) noexcept { lp_ = lp; }
 
   [[nodiscard]] LpId self() const noexcept override { return lp_; }
   [[nodiscard]] LpId num_lps() const noexcept override {
@@ -454,19 +446,10 @@ class ThreadContext final : public LpContext {
     slot.wake_hint_ns = std::min(slot.wake_hint_ns, abs_ns);
   }
 
-  [[nodiscard]] bool should_yield() const noexcept override {
-    if (sched_.worker(worker_).queue.empty()) {
-      return false;
-    }
-    yielded_ = true;
-    return true;
-  }
-
  private:
   Scheduler& sched_;
   std::uint32_t worker_;
   std::uint32_t lp_ = 0;
-  mutable bool yielded_ = false;
 };
 
 void Scheduler::run_lp(ThreadContext& ctx, std::uint32_t w, std::uint32_t lp) {
@@ -479,7 +462,6 @@ void Scheduler::run_lp(ThreadContext& ctx, std::uint32_t w, std::uint32_t lp) {
 
   ctx.begin_step(lp);
   const StepStatus status = runners_[lp]->step(ctx);
-  ctx.end_step();
   ++workers_[w].stats.steps;
 
   switch (status) {

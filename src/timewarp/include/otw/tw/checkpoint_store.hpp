@@ -2,17 +2,19 @@
 // ref [7], which compares periodic COPY state saving with INCREMENTAL state
 // saving).
 //
-//  * CopyCheckpointStore      — each checkpoint is a full clone of the
-//    object state (the kernel's default; cost ~ state size).
+//  * CopyCheckpointStore      — each checkpoint is a full byte image of the
+//    object state in a ring of fixed-size slots (the kernel's default; a
+//    save is one memcpy, cost ~ state size).
 //  * IncrementalCheckpointStore — each checkpoint is a byte-level delta
 //    against the previously saved state, with a full snapshot every
 //    `full_snapshot_interval` saves to bound reconstruction chains. Cost ~
 //    bytes actually CHANGED per event: a large-state object that touches a
 //    few fields per event (e.g. the RAID fork controller) checkpoints almost
-//    for free. Requires ObjectState::raw_bytes() (flat, fixed-size states).
+//    for free.
 //
-// Both implement the CheckpointStore interface ObjectRuntime drives; the
-// dynamic checkpoint-interval controller composes with either.
+// Both need a flat, fixed-size state (ObjectState::raw_bytes) and implement
+// the CheckpointStore interface ObjectRuntime drives; the dynamic
+// checkpoint-interval controller composes with either.
 #pragma once
 
 #include <cstdint>
@@ -22,7 +24,6 @@
 
 #include "otw/tw/event.hpp"
 #include "otw/tw/object.hpp"
-#include "otw/tw/queues.hpp"
 
 namespace otw::tw {
 
@@ -36,25 +37,20 @@ struct SaveReceipt {
   std::uint64_t stored_bytes = 0;
 };
 
-/// A reconstructed rollback target.
-struct RestorePoint {
-  Position pos;
-  std::unique_ptr<ObjectState> state;
-};
-
 class CheckpointStore {
  public:
   virtual ~CheckpointStore() = default;
 
   /// Records a checkpoint of `current` at `pos` (positions strictly
-  /// increasing).
+  /// increasing). `current` must be flat, with the size of the first save.
   virtual SaveReceipt save(const Position& pos, const ObjectState& current) = 0;
 
-  /// Drops every checkpoint at/after `target` and returns the latest
-  /// remaining one (reconstructed if stored incrementally). The returned
-  /// state is owned by the caller. Fails (contract) if nothing remains —
-  /// fossil collection guarantees a floor below any legal rollback.
-  virtual RestorePoint restore_before(const Position& target) = 0;
+  /// Drops every checkpoint at/after `target`, writes the latest remaining
+  /// one into `into` (reconstructed if stored incrementally) and returns its
+  /// position. `into` must be flat and of the saved size. Fails (contract)
+  /// if nothing remains — fossil collection guarantees a floor below any
+  /// legal rollback.
+  virtual Position restore_before(const Position& target, ObjectState& into) = 0;
 
   /// Keeps the latest checkpoint strictly before `gvt` (plus everything the
   /// representation needs to reconstruct it) and drops older history.
@@ -69,37 +65,48 @@ class CheckpointStore {
   [[nodiscard]] virtual std::uint64_t stored_bytes() const noexcept = 0;
 };
 
-/// Full-clone checkpoints (wraps the classic state queue). With an arena,
-/// retired checkpoints are recycled instead of freed and fresh ones are
-/// acquired from it instead of cloned.
+/// Full-image checkpoints in one ring of fixed-size slots, oldest at the
+/// head. A save copies the state's bytes into the next slot, a rollback
+/// truncates the tail and fossil collection advances the head; the ring
+/// grows by half when full and never shrinks, so after warm-up no save
+/// allocates.
 class CopyCheckpointStore final : public CheckpointStore {
  public:
-  explicit CopyCheckpointStore(StateArena* arena = nullptr)
-      : arena_(arena), queue_(arena) {}
-
   SaveReceipt save(const Position& pos, const ObjectState& current) override;
-  RestorePoint restore_before(const Position& target) override;
-  Position fossil_collect(VirtualTime gvt) override { return queue_.fossil_collect(gvt); }
-  [[nodiscard]] std::size_t entries() const noexcept override {
-    return queue_.size();
-  }
+  Position restore_before(const Position& target, ObjectState& into) override;
+  Position fossil_collect(VirtualTime gvt) override;
+  [[nodiscard]] std::size_t entries() const noexcept override { return count_; }
   [[nodiscard]] std::uint64_t stored_bytes() const noexcept override {
-    return queue_.stored_bytes();
+    return count_ * slot_bytes_;
   }
 
  private:
-  StateArena* arena_;
-  StateQueue queue_;
+  /// Ring slot of the `i`-th live checkpoint (0 = oldest).
+  [[nodiscard]] std::size_t slot(std::size_t i) const noexcept {
+    const std::size_t s = head_ + i;
+    return s < capacity_ ? s : s - capacity_;
+  }
+  [[nodiscard]] std::byte* image(std::size_t s) const noexcept {
+    return images_.get() + s * slot_bytes_;
+  }
+  /// Reallocates the ring 1.5x larger (4 slots at first), oldest first.
+  void grow();
+
+  std::size_t slot_bytes_ = 0;  ///< the state size, fixed by the first save
+  std::size_t capacity_ = 0;
+  std::size_t head_ = 0;
+  std::size_t count_ = 0;
+  std::vector<Position> positions_;      ///< per slot
+  std::unique_ptr<std::byte[]> images_;  ///< capacity_ * slot_bytes_
 };
 
 /// Byte-delta checkpoints with periodic full snapshots.
 class IncrementalCheckpointStore final : public CheckpointStore {
  public:
-  explicit IncrementalCheckpointStore(std::uint32_t full_snapshot_interval = 32,
-                                      StateArena* arena = nullptr);
+  explicit IncrementalCheckpointStore(std::uint32_t full_snapshot_interval = 32);
 
   SaveReceipt save(const Position& pos, const ObjectState& current) override;
-  RestorePoint restore_before(const Position& target) override;
+  Position restore_before(const Position& target, ObjectState& into) override;
   Position fossil_collect(VirtualTime gvt) override;
   [[nodiscard]] std::size_t entries() const noexcept override {
     return entries_.size();
@@ -120,31 +127,24 @@ class IncrementalCheckpointStore final : public CheckpointStore {
   };
   struct Entry {
     Position pos;
-    std::unique_ptr<ObjectState> snapshot;  ///< non-null for full snapshots
-    std::vector<Change> changes;            ///< for delta entries
+    bool full = false;
+    std::vector<std::byte> image;  ///< full snapshots
+    std::vector<Change> changes;   ///< delta entries
   };
 
-  /// State as of entries_[index], reconstructed from the nearest snapshot.
-  [[nodiscard]] std::unique_ptr<ObjectState> reconstruct(std::size_t index) const;
-
-  /// Copy of `src` via the arena (recycled) or clone (no arena).
-  [[nodiscard]] std::unique_ptr<ObjectState> copy_state(const ObjectState& src) const;
-  void retire_entry(Entry& entry) noexcept;
+  void retire_entry(const Entry& entry) noexcept;
 
   std::uint32_t full_snapshot_interval_;
   std::uint32_t saves_since_full_ = 0;
   std::deque<Entry> entries_;
   /// Byte image of the most recently saved state (diff base).
-  std::unique_ptr<ObjectState> shadow_;
+  std::vector<std::byte> shadow_;
   std::uint64_t stored_delta_bytes_ = 0;
   std::uint64_t snapshot_bytes_ = 0;
-  StateArena* arena_ = nullptr;
 };
 
-/// Factory for ObjectRuntime. The arena (may be null) recycles checkpoint
-/// states and must outlive the store.
+/// Factory for ObjectRuntime.
 std::unique_ptr<CheckpointStore> make_checkpoint_store(
-    StateSaving mode, std::uint32_t full_snapshot_interval,
-    StateArena* arena = nullptr);
+    StateSaving mode, std::uint32_t full_snapshot_interval);
 
 }  // namespace otw::tw

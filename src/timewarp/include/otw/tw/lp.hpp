@@ -43,7 +43,8 @@ struct KernelConfig {
   LpId num_lps = 1;
   /// Events with receive time beyond this are never processed.
   VirtualTime end_time = VirtualTime::infinity();
-  /// Events one LP processes per step() (between network polls).
+  /// Events one LP processes per step() (between network polls). On every
+  /// engine this alone bounds how long one step holds its worker.
   std::uint32_t batch_size = 8;
   /// Locally processed events between GVT epochs.
   std::uint64_t gvt_period_events = 512;
@@ -334,6 +335,8 @@ class LogicalProcess final : public platform::LpRunner,
   }
 
  private:
+  static constexpr std::size_t kNoRuntime = SIZE_MAX;
+
   void drain_one(std::unique_ptr<platform::EngineMessage> msg);
   bool drain();  ///< returns true if any message was handled
   void deliver_local_pending();
@@ -341,9 +344,17 @@ class LogicalProcess final : public platform::LpRunner,
   void complete_epoch(VirtualTime gvt);
   void apply_gvt(VirtualTime gvt);
   [[nodiscard]] VirtualTime local_min() const noexcept;
-  [[nodiscard]] ObjectRuntime& local_object(ObjectId id);
+  [[nodiscard]] std::size_t local_index(ObjectId id) const;
+  /// Hands `event` to its local receiver and refreshes that runtime's entry
+  /// in next_times_ (a receive may insert, annihilate or roll back).
+  void deliver(const Event& event);
+  /// Rebuilds next_times_ from every runtime.
+  void refresh_next_times() noexcept;
   void ship_batch(LpId dst, std::vector<Event>&& events);
-  [[nodiscard]] ObjectRuntime* pick_lowest() noexcept;
+  /// Lowest-timestamp-first pick: the index of the runtime with the lowest
+  /// next receive time (the lowest index among equals), or kNoRuntime when
+  /// that time is infinity or lies past processing_bound().
+  [[nodiscard]] std::size_t pick_lowest() const noexcept;
   /// Highest receive time currently processable (end_time and, when bounded,
   /// GVT + optimism window — further clamped under memory pressure).
   [[nodiscard]] VirtualTime processing_bound() const noexcept;
@@ -375,8 +386,13 @@ class LogicalProcess final : public platform::LpRunner,
   /// nodes into it on destruction).
   SlabPool event_pool_;
   std::vector<std::unique_ptr<ObjectRuntime>> runtimes_;
-  /// Global ObjectId -> index into runtimes_, or SIZE_MAX for remote objects.
+  /// Global ObjectId -> index into runtimes_, or kNoRuntime for remote
+  /// objects.
   std::vector<std::size_t> local_index_;
+  /// next_times_[i] is runtimes_[i]->next_event_time(), kept current after
+  /// every receive and process_next, so pick_lowest scans one flat array
+  /// instead of asking every input queue.
+  std::vector<VirtualTime> next_times_;
   std::vector<Event> local_inbox_;  ///< deferred same-LP deliveries
   comm::AggregationChannel<Event> channel_;
   GvtAgent gvt_;

@@ -1,23 +1,23 @@
 // Pooled allocation for the Time Warp hot path.
 //
 // Optimistic execution allocates and frees at event rate: every received
-// event becomes an input-queue node, every send an output-queue entry, every
-// checkpoint an ObjectState clone — and fossil collection frees them again in
-// bulk once GVT passes. Routing that churn through the global heap costs a
-// lock-shared malloc/free pair per event and scatters queue nodes across the
-// address space. The pools here exploit the Time Warp-specific structure:
+// event becomes an input-queue node — and fossil collection frees them again
+// in bulk once GVT passes. Routing that churn through the global heap costs
+// a lock-shared malloc/free pair per event and scatters queue nodes across
+// the address space. (Checkpoints need no pool: they are byte images in the
+// checkpoint store's own ring, checkpoint_store.hpp.) The pool here exploits
+// the Time Warp-specific structure:
 //
 //  * allocation is single-threaded per LP (each LP's queues are touched only
 //    by the thread currently running that LP), so SlabPool needs no locks;
-//  * block sizes are drawn from a tiny fixed set (input-queue nodes,
-//    checkpoint states of one object type), so power-of-two size classes
-//    with per-class freelists recycle every fossil-collected block into the
-//    next event's allocation;
+//  * block sizes are drawn from a tiny fixed set (input-queue nodes), so
+//    power-of-two size classes with per-class freelists recycle every
+//    fossil-collected block into the next event's allocation;
 //  * freed memory is reused, never returned: a pool's footprint is the
 //    high-water mark of live blocks, which is exactly the quantity the
 //    pressure controller (core/pressure_controller.hpp) bounds.
 //
-// Three cooperating pieces:
+// Two cooperating pieces:
 //
 //  * SlabPool — bump-allocated slabs + per-size-class freelists. Not
 //    thread-safe; owned by one LP and used by its queues.
@@ -25,10 +25,6 @@
 //    (the input queue's multiset) draw their nodes from a SlabPool. A null
 //    pool falls back to the global heap, so default-constructed containers
 //    keep working in isolation tests.
-//  * StateArena — recycler for ObjectState checkpoints. Retired states are
-//    kept and re-filled via ObjectState::assign_from instead of a fresh
-//    clone(); owned per ObjectRuntime so every recycled state has the
-//    object's exact dynamic type and size.
 #pragma once
 
 #include <cstddef>
@@ -36,7 +32,6 @@
 #include <memory>
 #include <vector>
 
-#include "otw/tw/object.hpp"
 #include "otw/util/assert.hpp"
 
 namespace otw::tw {
@@ -144,37 +139,6 @@ class PoolAllocator {
 
  private:
   SlabPool* pool_ = nullptr;
-};
-
-/// Recycler for ObjectState checkpoints.
-///
-/// acquire_copy(src) returns a state equal to a clone of `src`, preferring
-/// to re-fill a previously released state via ObjectState::assign_from (a
-/// memcpy for flat states) over allocating a fresh clone. release() parks a
-/// retired state for reuse; beyond `capacity` states it simply destroys
-/// them. One arena serves exactly one object, so every parked state has the
-/// object's dynamic type and assign_from can never mix types.
-class StateArena {
- public:
-  explicit StateArena(std::size_t capacity = 64) : capacity_(capacity) {
-    free_.reserve(capacity_);
-  }
-
-  /// A state with the same value as `src` (assign_from-recycled or cloned).
-  [[nodiscard]] std::unique_ptr<ObjectState> acquire_copy(const ObjectState& src);
-
-  /// Parks `state` for reuse (or destroys it when the arena is full).
-  void release(std::unique_ptr<ObjectState> state) noexcept;
-
-  [[nodiscard]] std::uint64_t recycled() const noexcept { return recycled_; }
-  [[nodiscard]] std::uint64_t cloned() const noexcept { return cloned_; }
-  [[nodiscard]] std::size_t parked() const noexcept { return free_.size(); }
-
- private:
-  std::vector<std::unique_ptr<ObjectState>> free_;
-  std::size_t capacity_;
-  std::uint64_t recycled_ = 0;
-  std::uint64_t cloned_ = 0;
 };
 
 }  // namespace otw::tw

@@ -20,9 +20,10 @@ namespace otw::tw {
 
 /// Checkpointable object state. byte_size() feeds the state-saving cost
 /// model; digest() lets tests compare committed results across kernels.
-/// raw_bytes()/mutable_raw_bytes() expose a flat byte view for INCREMENTAL
-/// checkpointing (delta saves); they may return nullptr when the state is
-/// not flat, in which case only copy checkpointing is available.
+/// raw_bytes()/mutable_raw_bytes() expose the flat byte view that
+/// checkpointing needs: both checkpoint stores save and restore byte images
+/// (copy and delta saves alike), as LP migration and snapshots ship them. A
+/// state that returns nullptr here cannot run under the Time Warp kernel.
 class ObjectState {
  public:
   virtual ~ObjectState() = default;
@@ -34,12 +35,11 @@ class ObjectState {
   }
   [[nodiscard]] virtual std::byte* mutable_raw_bytes() noexcept { return nullptr; }
 
-  /// Overwrites this state with the value of `other` WITHOUT allocating —
-  /// the recycling path of tw::StateArena (a retired checkpoint is re-filled
-  /// instead of cloned). Returns false when the two states are not
-  /// layout-compatible; the caller must fall back to other.clone(). The
-  /// default covers flat states (both expose raw_bytes) of equal size via
-  /// memcpy; states with out-of-line resources may override.
+  /// Overwrites this state with the value of `other` WITHOUT allocating.
+  /// Returns false when the two states are not layout-compatible; the
+  /// caller must fall back to other.clone(). The default covers flat states
+  /// (both expose raw_bytes) of equal size via memcpy; states with
+  /// out-of-line resources may override.
   [[nodiscard]] virtual bool assign_from(const ObjectState& other) noexcept {
     if (byte_size() != other.byte_size()) {
       return false;

@@ -184,7 +184,6 @@ class ObjectRuntime final : public ObjectContext {
   /// Current memory footprint of this object's optimistic history (exact
   /// byte accounting; the LP sums these against its budget).
   [[nodiscard]] MemoryStats memory_footprint() const noexcept;
-  [[nodiscard]] const StateArena& state_arena() const noexcept { return arena_; }
 
  private:
   void execute(const Event& event);
@@ -214,8 +213,7 @@ class ObjectRuntime final : public ObjectContext {
   ObjectRuntimeConfig config_;
   const platform::CostModel* costs_;  ///< null: nothing is priced
 
-  /// Checkpoint recycler; declared before every member that releases into it.
-  StateArena arena_;
+  /// The working state; a rollback restores a checkpoint into it in place.
   std::unique_ptr<ObjectState> current_state_;
   /// Input queue: every positive event at/after the last fossil-collected
   /// checkpoint, with the processed/unprocessed boundary (pending_set.hpp).

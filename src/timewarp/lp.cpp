@@ -16,7 +16,7 @@ LogicalProcess::LogicalProcess(
       config_(config),
       costs_(costs),
       object_to_lp_(std::move(object_to_lp)),
-      local_index_(object_to_lp_.size(), SIZE_MAX),
+      local_index_(object_to_lp_.size(), kNoRuntime),
       channel_(id, config.num_lps, config.aggregation),
       gvt_(id, config.num_lps, config.gvt_period_events) {
   OTW_REQUIRE(id < config.num_lps);
@@ -54,6 +54,7 @@ LogicalProcess::LogicalProcess(
     runtimes_.push_back(std::make_unique<ObjectRuntime>(
         object_id, std::move(object), *this, runtime_config, costs_));
   }
+  next_times_.assign(runtimes_.size(), VirtualTime::infinity());
 }
 
 std::uint64_t LogicalProcess::wall_now_ns() const noexcept {
@@ -145,9 +146,22 @@ VirtualTime LogicalProcess::emergency_horizon() const noexcept {
                                                      : ticks + window};
 }
 
-ObjectRuntime& LogicalProcess::local_object(ObjectId id) {
-  OTW_REQUIRE(id < local_index_.size() && local_index_[id] != SIZE_MAX);
-  return *runtimes_[local_index_[id]];
+std::size_t LogicalProcess::local_index(ObjectId id) const {
+  OTW_REQUIRE(id < local_index_.size() && local_index_[id] != kNoRuntime);
+  return local_index_[id];
+}
+
+void LogicalProcess::deliver(const Event& event) {
+  const std::size_t index = local_index(event.receiver);
+  ObjectRuntime& runtime = *runtimes_[index];
+  runtime.receive(event);
+  next_times_[index] = runtime.next_event_time();
+}
+
+void LogicalProcess::refresh_next_times() noexcept {
+  for (std::size_t i = 0; i < runtimes_.size(); ++i) {
+    next_times_[i] = runtimes_[i]->next_event_time();
+  }
 }
 
 void LogicalProcess::route(Event&& event) {
@@ -285,7 +299,7 @@ void LogicalProcess::deliver_local_pending() {
   // receive() may append more entries while we iterate; index-based loop.
   for (std::size_t i = 0; i < local_inbox_.size(); ++i) {
     const Event event = std::move(local_inbox_[i]);
-    local_object(event.receiver).receive(event);
+    deliver(event);
   }
   local_inbox_.clear();
 }
@@ -306,17 +320,16 @@ VirtualTime LogicalProcess::local_min() const noexcept {
   return lowest;
 }
 
-ObjectRuntime* LogicalProcess::pick_lowest() noexcept {
-  ObjectRuntime* best = nullptr;
+std::size_t LogicalProcess::pick_lowest() const noexcept {
+  std::size_t best = kNoRuntime;
   VirtualTime best_time = VirtualTime::infinity();
-  for (const auto& runtime : runtimes_) {
-    const VirtualTime t = runtime->next_event_time();
-    if (t < best_time) {
-      best_time = t;
-      best = runtime.get();
+  for (std::size_t i = 0; i < next_times_.size(); ++i) {
+    if (next_times_[i] < best_time) {
+      best_time = next_times_[i];
+      best = i;
     }
   }
-  return best_time <= processing_bound() ? best : nullptr;
+  return best_time <= processing_bound() ? best : kNoRuntime;
 }
 
 void LogicalProcess::handle_token(const GvtTokenMessage& token) {
@@ -407,7 +420,7 @@ void LogicalProcess::drain_one(std::unique_ptr<platform::EngineMessage> msg) {
       for (Event& event : batch->events()) {
         // Both polarities count for GVT: anti-messages are messages too.
         gvt_.on_receive(event.color);
-        local_object(event.receiver).receive(event);
+        deliver(event);
         deliver_local_pending();
       }
       return;
@@ -454,6 +467,7 @@ platform::StepStatus LogicalProcess::step(platform::LpContext& ctx) {
     for (const auto& runtime : runtimes_) {
       runtime->initialize();
     }
+    refresh_next_times();
     deliver_local_pending();
     initialized_ = true;
   }
@@ -467,19 +481,18 @@ platform::StepStatus LogicalProcess::step(platform::LpContext& ctx) {
   }
 
   // Process a batch of lowest-timestamp-first events (bounded, when
-  // configured, by the optimism window above GVT). The engine's yield hint
-  // cuts a batch short when other LPs are waiting on the same worker; the
-  // LP returns Active, so no work is lost, only deferred.
+  // configured, by the optimism window above GVT). batch_size alone bounds
+  // how long this LP holds its worker.
   std::uint32_t processed = 0;
   while (processed < config_.batch_size) {
-    if (processed > 0 && ctx.should_yield()) {
+    const std::size_t lowest = pick_lowest();
+    if (lowest == kNoRuntime) {
       break;
     }
-    ObjectRuntime* lowest = pick_lowest();
-    if (lowest == nullptr) {
-      break;
-    }
-    if (!lowest->process_next()) {
+    ObjectRuntime& runtime = *runtimes_[lowest];
+    const bool ran = runtime.process_next();
+    next_times_[lowest] = runtime.next_event_time();
+    if (!ran) {
       break;
     }
     gvt_.on_event_processed();
@@ -631,6 +644,7 @@ bool LogicalProcess::snapshot_settle(platform::LpContext& ctx) {
     for (const auto& runtime : runtimes_) {
       runtime->initialize();
     }
+    refresh_next_times();
     initialized_ = true;
     moved = true;
   }
@@ -675,6 +689,7 @@ bool LogicalProcess::snapshot_cut(platform::LpContext& ctx) {
   for (const auto& runtime : runtimes_) {
     runtime->migration_freeze(gvt_value_);
   }
+  refresh_next_times();
   deliver_local_pending();
   flush_held(VirtualTime::infinity());
   channel_.flush_all(ctx.now_ns(), [this](LpId to, std::vector<Event>&& batch) {
@@ -756,8 +771,9 @@ void LogicalProcess::snapshot_restore(platform::LpContext& ctx,
                   "MIGRATE frame runtime count mismatch");
   for (std::uint32_t i = 0; i < count; ++i) {
     const ObjectId object_id = r.u32();
-    local_object(object_id).migrate_in(r, gvt_value_);
+    runtimes_[local_index(object_id)]->migrate_in(r, gvt_value_);
   }
+  refresh_next_times();
   if (live_ != nullptr) {
     publish_live();
   }
@@ -774,9 +790,6 @@ LpStats LogicalProcess::snapshot_lp_stats() const {
   s.memory = memory_footprint();
   s.memory_peak_bytes = std::max(s.memory_peak_bytes, s.memory.total());
   s.pool_recycled_blocks = event_pool_.stats().freelist_hits;
-  for (const auto& runtime : runtimes_) {
-    s.pool_recycled_blocks += runtime->state_arena().recycled();
-  }
   return s;
 }
 

@@ -67,25 +67,4 @@ void SlabPool::deallocate(void* ptr, std::size_t size) noexcept {
   freelists_[index] = node;
 }
 
-std::unique_ptr<ObjectState> StateArena::acquire_copy(const ObjectState& src) {
-  while (!free_.empty()) {
-    std::unique_ptr<ObjectState> state = std::move(free_.back());
-    free_.pop_back();
-    if (state->assign_from(src)) {
-      ++recycled_;
-      return state;
-    }
-    // Type/size mismatch (object changed state shape): drop and retry.
-  }
-  ++cloned_;
-  return src.clone();
-}
-
-void StateArena::release(std::unique_ptr<ObjectState> state) noexcept {
-  if (state == nullptr || free_.size() >= capacity_) {
-    return;
-  }
-  free_.push_back(std::move(state));
-}
-
 }  // namespace otw::tw

@@ -19,7 +19,7 @@ ObjectRuntime::ObjectRuntime(ObjectId id, std::unique_ptr<SimulationObject> obje
       costs_(costs),
       input_(make_pending_set(lp.queue_kind(), lp.event_pool())),
       states_(make_checkpoint_store(config.state_saving,
-                                    config.full_snapshot_interval, &arena_)),
+                                    config.full_snapshot_interval)),
       ckpt_(config.checkpoint_control),
       cancel_(config.cancellation) {
   OTW_REQUIRE(object_ != nullptr);
@@ -256,13 +256,10 @@ void ObjectRuntime::rollback(const Position& target, const Event& cause,
                                          cause.send_time.ticks()));
   }
 
-  // Restore the latest checkpoint before the target; the abandoned working
-  // state is recycled into the arena.
-  RestorePoint keeper = states_->restore_before(target);
-  arena_.release(std::move(current_state_));
-  current_state_ = std::move(keeper.state);
-  lvt_ = keeper.pos.recv_time();
-  input_->rewind_to_after(keeper.pos);
+  // Restore the latest checkpoint before the target into the working state.
+  const Position keeper = states_->restore_before(target, *current_state_);
+  lvt_ = keeper.recv_time();
+  input_->rewind_to_after(keeper);
   events_since_save_ = 0;
   ++stats_.state_restores;
   if (costs_ != nullptr) {
@@ -270,7 +267,7 @@ void ObjectRuntime::rollback(const Position& target, const Event& cause,
   }
   if (rec_.tracing()) {
     rec_.record(obs::TraceKind::StateRestore, lp_.wall_now_ns(), id_,
-                keeper.pos.recv_time().ticks());
+                keeper.recv_time().ticks());
   }
 
   // Outputs caused by re-executed events are no longer trustworthy.
@@ -513,7 +510,7 @@ void ObjectRuntime::migrate_in(platform::WireReader& r, VirtualTime gvt) {
   input_ = make_pending_set(lp_.queue_kind(), lp_.event_pool());
   output_ = OutputQueue{};
   states_ = make_checkpoint_store(config_.state_saving,
-                                  config_.full_snapshot_interval, &arena_);
+                                  config_.full_snapshot_interval);
   lazy_pending_.clear();
   passive_.clear();
   ckpt_ = core::CheckpointIntervalController(config_.checkpoint_control);

@@ -90,7 +90,6 @@ obs::MetricsSnapshot build_metrics(const RunResult& result) {
       add("otw_worker_parks_total", static_cast<double>(s.parks));
       add("otw_worker_wakes_total", static_cast<double>(s.wakes));
       add("otw_worker_timer_fires_total", static_cast<double>(s.timer_fires));
-      add("otw_worker_yields_total", static_cast<double>(s.yields));
     }
   }
 

@@ -37,8 +37,8 @@ std::uint8_t byte_at(const ObjectState& s, int offset) {
 class CheckpointStoreContract
     : public ::testing::TestWithParam<StateSaving> {
  protected:
-  std::unique_ptr<CheckpointStore> make() {
-    return make_checkpoint_store(GetParam(), /*full_snapshot_interval=*/4);
+  std::unique_ptr<CheckpointStore> make(std::uint32_t full_snapshot_interval = 4) {
+    return make_checkpoint_store(GetParam(), full_snapshot_interval);
   }
 };
 
@@ -47,9 +47,9 @@ TEST_P(CheckpointStoreContract, RestoresLatestBeforeTarget) {
   store->save(pos(10), state_with({{0, 1}}));
   store->save(pos(20), state_with({{0, 2}}));
   store->save(pos(30), state_with({{0, 3}}));
-  const RestorePoint rp = store->restore_before(pos(25));
-  EXPECT_EQ(rp.pos, pos(20));
-  EXPECT_EQ(byte_at(*rp.state, 0), 2);
+  PodState<Blob> into;
+  EXPECT_EQ(store->restore_before(pos(25), into), pos(20));
+  EXPECT_EQ(byte_at(into, 0), 2);
   EXPECT_EQ(store->entries(), 2u);  // the entry at 30 was dropped
 }
 
@@ -57,21 +57,52 @@ TEST_P(CheckpointStoreContract, RestoreAtExactPositionGoesEarlier) {
   auto store = make();
   store->save(pos(10), state_with({{0, 1}}));
   store->save(pos(20), state_with({{0, 2}}));
-  const RestorePoint rp = store->restore_before(pos(20));
-  EXPECT_EQ(rp.pos, pos(10));
-  EXPECT_EQ(byte_at(*rp.state, 0), 1);
+  PodState<Blob> into;
+  EXPECT_EQ(store->restore_before(pos(20), into), pos(10));
+  EXPECT_EQ(byte_at(into, 0), 1);
 }
 
 TEST_P(CheckpointStoreContract, RestoreWithNothingLeftIsAContractViolation) {
   auto store = make();
   store->save(pos(10), state_with({}));
-  EXPECT_THROW(store->restore_before(pos(5)), ContractViolation);
+  PodState<Blob> into;
+  EXPECT_THROW(store->restore_before(pos(5), into), ContractViolation);
 }
 
 TEST_P(CheckpointStoreContract, SavesRequireIncreasingPositions) {
   auto store = make();
   store->save(pos(10), state_with({}));
   EXPECT_THROW(store->save(pos(10), state_with({})), ContractViolation);
+  EXPECT_THROW(store->save(pos(5), state_with({})), ContractViolation);
+}
+
+TEST_P(CheckpointStoreContract, RequiresFlatState) {
+  struct Opaque final : ObjectState {
+    std::unique_ptr<ObjectState> clone() const override {
+      return std::make_unique<Opaque>();
+    }
+    std::size_t byte_size() const noexcept override { return 8; }
+    std::uint64_t digest() const noexcept override { return 0; }
+  };
+  auto store = make();
+  EXPECT_THROW(store->save(pos(1), Opaque{}), ContractViolation);
+  store->save(pos(1), state_with({}));
+  Opaque opaque;
+  EXPECT_THROW(store->restore_before(pos(2), opaque), ContractViolation);
+}
+
+TEST_P(CheckpointStoreContract, RestoresIntoTheWorkingState) {
+  auto store = make();
+  store->save(pos(10), state_with({{0, 1}, {63, 9}}));
+  store->save(pos(20), state_with({{0, 2}}));
+  // The working state has run ahead: every byte of it is overwritten.
+  PodState<Blob> working = state_with({{0, 7}, {5, 7}, {63, 7}});
+  EXPECT_EQ(store->restore_before(pos(20), working), pos(10));
+  EXPECT_EQ(working.digest(), state_with({{0, 1}, {63, 9}}).digest());
+  // A state of another size is no working state of this store's object.
+  PodState<std::array<std::uint8_t, 128>> other;
+  EXPECT_THROW(store->restore_before(pos(20), other), ContractViolation);
+  EXPECT_THROW(store->save(pos(30), other), ContractViolation);
 }
 
 TEST_P(CheckpointStoreContract, FossilKeepsRestoreFloor) {
@@ -82,9 +113,83 @@ TEST_P(CheckpointStoreContract, FossilKeepsRestoreFloor) {
   const Position keeper = store->fossil_collect(VirtualTime{55});
   EXPECT_EQ(keeper, pos(50));
   // Everything at/after the keeper must still be restorable.
-  const RestorePoint rp = store->restore_before(pos(75));
-  EXPECT_EQ(rp.pos, pos(70));
-  EXPECT_EQ(byte_at(*rp.state, 0), 70);
+  PodState<Blob> into;
+  EXPECT_EQ(store->restore_before(pos(75), into), pos(70));
+  EXPECT_EQ(byte_at(into, 0), 70);
+}
+
+TEST_P(CheckpointStoreContract, FossilWithNothingCollectable) {
+  auto store = make();
+  store->save(pos(10), state_with({{0, 1}}));
+  store->save(pos(20), state_with({{0, 2}}));
+  EXPECT_EQ(store->fossil_collect(VirtualTime{5}), pos(10));
+  EXPECT_EQ(store->entries(), 2u);
+  PodState<Blob> into;
+  EXPECT_EQ(store->restore_before(pos(15), into), pos(10));
+  EXPECT_EQ(byte_at(into, 0), 1);
+}
+
+TEST_P(CheckpointStoreContract, FossilAtInfinityKeepsOnlyLatest) {
+  // Every save a full image, so the latest needs nothing older.
+  auto store = make(/*full_snapshot_interval=*/1);
+  store->save(Position::before_all(), state_with({}));
+  store->save(pos(10), state_with({{0, 1}}));
+  store->save(pos(20), state_with({{0, 2}}));
+  EXPECT_EQ(store->fossil_collect(VirtualTime::infinity()), pos(20));
+  EXPECT_EQ(store->entries(), 1u);
+  PodState<Blob> into;
+  EXPECT_EQ(store->restore_before(Position::after_all(), into), pos(20));
+  EXPECT_EQ(byte_at(into, 0), 2);
+}
+
+TEST_P(CheckpointStoreContract, EntriesAndBytesCountLiveCheckpoints) {
+  // Every save a full image: each live checkpoint holds one state's bytes.
+  auto store = make(/*full_snapshot_interval=*/1);
+  const auto expect_live = [&](std::size_t live) {
+    EXPECT_EQ(store->entries(), live);
+    EXPECT_EQ(store->stored_bytes(), live * sizeof(Blob));
+  };
+  expect_live(0);
+  for (std::uint64_t t = 1; t <= 10; ++t) {
+    store->save(pos(t), state_with({{0, static_cast<int>(t)}}));
+  }
+  expect_live(10);
+  PodState<Blob> into;
+  store->restore_before(pos(8), into);  // drops 8, 9, 10
+  expect_live(7);
+  store->fossil_collect(VirtualTime{4});  // keeps 3 and later
+  expect_live(5);
+  store->save(pos(11), state_with({}));
+  expect_live(6);
+}
+
+TEST_P(CheckpointStoreContract, RingWrapsAfterFossilCollection) {
+  // Fossil collection moves the oldest checkpoint off the front, so later
+  // saves wrap around into the freed room and growth has to unwrap a ring
+  // whose oldest entry is not at the front.
+  auto store = make();
+  const auto edit = [](std::uint64_t t) {
+    return state_with({{static_cast<int>(t % 64), static_cast<int>(t)},
+                       {0, static_cast<int>(t)}});
+  };
+  for (std::uint64_t t = 1; t <= 4; ++t) {
+    store->save(pos(t * 10), edit(t));
+  }
+  EXPECT_EQ(store->fossil_collect(VirtualTime{35}), pos(30));
+  for (std::uint64_t t = 5; t <= 12; ++t) {
+    store->save(pos(t * 10), edit(t));
+  }
+  // Restore walks back through the wrapped entries to each one in turn.
+  for (std::uint64_t t = 12; t >= 3; --t) {
+    PodState<Blob> into;
+    EXPECT_EQ(store->restore_before(pos(t * 10 + 1), into), pos(t * 10));
+    EXPECT_EQ(into.digest(), edit(t).digest()) << "checkpoint " << t;
+  }
+  // Saves resume after a truncating restore, in the same ring.
+  store->save(pos(31), edit(13));
+  PodState<Blob> into;
+  EXPECT_EQ(store->restore_before(pos(32), into), pos(31));
+  EXPECT_EQ(into.digest(), edit(13).digest());
 }
 
 TEST_P(CheckpointStoreContract, LongEditSequenceRoundTrips) {
@@ -96,22 +201,15 @@ TEST_P(CheckpointStoreContract, LongEditSequenceRoundTrips) {
     store->save(pos(t), current);
   }
   for (std::uint64_t target : {5u, 17u, 33u, 40u}) {
-    auto fresh = make_checkpoint_store(GetParam(), 4);
     PodState<Blob> replay;
-    for (std::uint64_t t = 1; t <= 40; ++t) {
+    for (std::uint64_t t = 1; t <= target; ++t) {
       replay.value().bytes[t % 64] = static_cast<std::uint8_t>(t);
       replay.value().bytes[(3 * t) % 64] = static_cast<std::uint8_t>(t + 1);
-      fresh->save(pos(t), replay);
-      if (t == target) {
-        break;
-      }
     }
-    const RestorePoint rp = store->restore_before(pos(target + 1));
-    EXPECT_EQ(rp.pos, pos(target));
-    EXPECT_EQ(rp.state->digest(), replay.digest()) << "target " << target;
-    // Resume from the restored state (a rollback rewound `current` too) and
-    // rebuild the tail so the next iteration sees the full history again.
-    current.value() = static_cast<const PodState<Blob>&>(*rp.state).value();
+    // A rollback rewinds `current` itself; then the tail is rebuilt so the
+    // next iteration sees the full history again.
+    EXPECT_EQ(store->restore_before(pos(target + 1), current), pos(target));
+    EXPECT_EQ(current.digest(), replay.digest()) << "target " << target;
     for (std::uint64_t t = target + 1; t <= 40; ++t) {
       current.value().bytes[t % 64] = static_cast<std::uint8_t>(t);
       current.value().bytes[(3 * t) % 64] = static_cast<std::uint8_t>(t + 1);
@@ -151,18 +249,6 @@ TEST(IncrementalStore, FullSnapshotCadence) {
     full_saves += store.save(pos(t), current).scanned_bytes == 0;
   }
   EXPECT_EQ(full_saves, 3u);  // t = 1, 4, 7
-}
-
-TEST(IncrementalStore, RequiresFlatState) {
-  struct Opaque final : ObjectState {
-    std::unique_ptr<ObjectState> clone() const override {
-      return std::make_unique<Opaque>();
-    }
-    std::size_t byte_size() const noexcept override { return 8; }
-    std::uint64_t digest() const noexcept override { return 0; }
-  };
-  IncrementalCheckpointStore store(4);
-  EXPECT_THROW(store.save(pos(1), Opaque{}), ContractViolation);
 }
 
 TEST(IncrementalStore, KernelEquivalenceUnderIncrementalSaving) {

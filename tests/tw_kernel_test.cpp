@@ -133,6 +133,24 @@ TEST(Kernel, ThreadedEngineMatchesSequential) {
   EXPECT_EQ(tw.stats.total_committed(), seq.events_processed);
 }
 
+TEST(Kernel, ThreadedOneWorkerRunsWholeBatches) {
+  // Eight LPs share one worker, so other LPs always wait on its queue. A
+  // step still runs up to batch_size events: with 8 per batch, the worker
+  // needs far fewer steps than events (one step per event would mean the
+  // batch was cut short whenever another LP was queued).
+  const auto app = small_phold(32, 8);
+  const Model model = apps::phold::build_model(app);
+  KernelConfig kc = kernel_config(8, VirtualTime{4'000});
+  kc.batch_size = 8;
+  const RunResult tw = run(model, kc.with_engine(EngineKind::Threaded, 1));
+  const SequentialResult seq = run_sequential(model, kc.end_time);
+  EXPECT_EQ(tw.digests, seq.digests);
+  ASSERT_EQ(tw.scheduler.workers.size(), 1u);
+  const std::uint64_t processed = tw.stats.object_totals().events_processed;
+  EXPECT_GT(processed, 1'000u);
+  EXPECT_LE(tw.scheduler.workers[0].steps, processed / 4);
+}
+
 TEST(Kernel, SimulatedRunsAreDeterministic) {
   const auto app = small_phold();
   const Model model = apps::phold::build_model(app);

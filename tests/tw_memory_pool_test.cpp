@@ -1,12 +1,11 @@
 // Pooled allocation (tw/memory_pool.hpp): slab recycling, the allocator
-// adapter, the checkpoint arena and the cross-thread batch-buffer pool. The
+// adapter and the cross-thread batch-buffer pool. The
 // load-bearing property throughout is NO ALIASING: a recycled block must
 // never be handed out while the previous owner still holds it.
 #include "otw/tw/memory_pool.hpp"
 
 #include <gtest/gtest.h>
 
-#include <array>
 #include <optional>
 #include <set>
 #include <thread>
@@ -112,48 +111,6 @@ TEST(PoolAllocator, NullPoolFallsBackToHeap) {
     set.insert(i);
   }
   EXPECT_EQ(set.size(), 10u);
-}
-
-struct Blob {
-  std::array<std::uint8_t, 32> bytes{};
-};
-
-TEST(StateArenaPool, RecyclesReleasedStatesByAssignment) {
-  StateArena arena(4);
-  PodState<Blob> src;
-  src.value().bytes[0] = 42;
-
-  std::unique_ptr<ObjectState> first = arena.acquire_copy(src);
-  EXPECT_EQ(arena.cloned(), 1u);
-  ObjectState* first_ptr = first.get();
-  arena.release(std::move(first));
-  EXPECT_EQ(arena.parked(), 1u);
-
-  src.value().bytes[0] = 7;
-  std::unique_ptr<ObjectState> second = arena.acquire_copy(src);
-  EXPECT_EQ(second.get(), first_ptr) << "parked state must be re-filled";
-  EXPECT_EQ(arena.recycled(), 1u);
-  EXPECT_EQ(second->digest(), src.digest());
-}
-
-TEST(StateArenaPool, CapacityBoundsParkedStates) {
-  StateArena arena(2);
-  PodState<Blob> src;
-  arena.release(src.clone());
-  arena.release(src.clone());
-  arena.release(src.clone());  // beyond capacity: destroyed, not parked
-  EXPECT_EQ(arena.parked(), 2u);
-}
-
-TEST(StateArenaPool, SizeMismatchFallsBackToClone) {
-  StateArena arena(4);
-  PodState<Blob> small;
-  arena.release(small.clone());
-  PodState<std::array<std::uint8_t, 128>> big;
-  std::unique_ptr<ObjectState> copy = arena.acquire_copy(big);
-  EXPECT_EQ(copy->byte_size(), big.byte_size());
-  EXPECT_EQ(arena.cloned(), 1u);
-  EXPECT_EQ(arena.recycled(), 0u);
 }
 
 TEST(BufferPoolTest, RoundTripsBuffersAcrossThreads) {

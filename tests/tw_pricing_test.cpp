@@ -102,6 +102,21 @@ TEST(Pricing, SimulatedNowMakespanIsPinned) {
   }
   EXPECT_TRUE(window_moved) << "the optimism controller never adapted";
   expect_pinned(b, {324'956'644, 2'068, 299});
+
+  // 32 objects per LP with delays of 1..8 ticks: many of an LP's objects
+  // share the lowest receive time at once, so this pin also fixes the LTSF
+  // tie-break (the lowest local index runs first), not only the charges.
+  apps::phold::PholdConfig wide_app = pinned_phold();
+  wide_app.num_objects = 128;
+  wide_app.mean_delay = 4;
+  const VirtualTime wide_end{600};
+  const Model wide_model = apps::phold::build_model(wide_app);
+  KernelConfig wide = base_config();
+  wide.end_time = wide_end;
+  const RunResult c = run(wide_model, wide, tuning);
+  EXPECT_EQ(c.digests, run_sequential(wide_model, wide_end).digests);
+  EXPECT_GT(c.stats.total_rollbacks(), 0u);
+  expect_pinned(c, {2'078'097'600, 34'241, 1'892});
 }
 
 }  // namespace

@@ -234,80 +234,5 @@ TEST(OutputQueue, FossilCollectBySendTime) {
   EXPECT_EQ(q.entries().front().cause, pos(20, 0, 1));
 }
 
-// ------------------------------------------------------------ StateQueue --
-
-std::unique_ptr<ObjectState> state_of(std::uint64_t v) {
-  return std::make_unique<PodState<std::uint64_t>>(v);
-}
-
-std::uint64_t value_of(const ObjectState& s) {
-  return static_cast<const PodState<std::uint64_t>&>(s).value();
-}
-
-TEST(StateQueue, LatestBeforeFindsRestorePoint) {
-  StateQueue q;
-  q.save(Position::before_all(), state_of(0));
-  q.save(pos(10, 1, 0), state_of(1));
-  q.save(pos(20, 1, 1), state_of(2));
-  const auto* entry = q.latest_before(pos(15, 9, 9));
-  ASSERT_NE(entry, nullptr);
-  EXPECT_EQ(value_of(*entry->state), 1u);
-}
-
-TEST(StateQueue, LatestBeforeExactKeyGoesEarlier) {
-  StateQueue q;
-  q.save(Position::before_all(), state_of(0));
-  q.save(pos(10, 1, 0), state_of(1));
-  const auto* entry = q.latest_before(pos(10, 1, 0));
-  ASSERT_NE(entry, nullptr);
-  EXPECT_EQ(value_of(*entry->state), 0u);
-}
-
-TEST(StateQueue, DropFromRemovesInvalidCheckpoints) {
-  StateQueue q;
-  q.save(Position::before_all(), state_of(0));
-  q.save(pos(10, 1, 0), state_of(1));
-  q.save(pos(20, 1, 1), state_of(2));
-  q.drop_from(pos(10, 1, 0));
-  EXPECT_EQ(q.size(), 1u);
-  EXPECT_EQ(q.latest_before(pos(99, 9, 9))->pos, Position::before_all());
-}
-
-TEST(StateQueue, SaveRequiresIncreasingKeys) {
-  StateQueue q;
-  q.save(pos(10, 1, 0), state_of(1));
-  EXPECT_THROW(q.save(pos(10, 1, 0), state_of(2)), ContractViolation);
-  EXPECT_THROW(q.save(pos(5, 1, 0), state_of(2)), ContractViolation);
-}
-
-TEST(StateQueue, FossilKeepsLatestBeforeGvt) {
-  StateQueue q;
-  q.save(Position::before_all(), state_of(0));
-  q.save(pos(10, 1, 0), state_of(1));
-  q.save(pos(20, 1, 1), state_of(2));
-  q.save(pos(30, 1, 2), state_of(3));
-  const Position keeper = q.fossil_collect(VirtualTime{25});
-  EXPECT_EQ(keeper, pos(20, 1, 1));
-  EXPECT_EQ(q.size(), 2u);  // 20 and 30 survive
-}
-
-TEST(StateQueue, FossilWithNothingCollectable) {
-  StateQueue q;
-  q.save(pos(10, 1, 0), state_of(1));
-  const Position keeper = q.fossil_collect(VirtualTime{5});
-  EXPECT_EQ(keeper, pos(10, 1, 0));
-  EXPECT_EQ(q.size(), 1u);
-}
-
-TEST(StateQueue, FossilAtInfinityKeepsOnlyLatest) {
-  StateQueue q;
-  q.save(Position::before_all(), state_of(0));
-  q.save(pos(10, 1, 0), state_of(1));
-  q.save(pos(20, 1, 1), state_of(2));
-  q.fossil_collect(VirtualTime::infinity());
-  EXPECT_EQ(q.size(), 1u);
-  EXPECT_EQ(value_of(*q.back().state), 2u);
-}
-
 }  // namespace
 }  // namespace otw::tw
