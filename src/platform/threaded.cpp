@@ -10,9 +10,11 @@
 //   * Message flow — send() pushes into the destination's MPSC mailbox and
 //     then notifies: Idle LPs become Scheduled (and enqueued), Running LPs
 //     become RunningNotified so their worker re-enqueues them after the
-//     step. Push-before-notify makes a message visible before the LP can be
-//     stepped for it; a transiently unpublished ring cell is therefore never
-//     lost, only deferred to the notify that follows it.
+//     step. The notify is always a read-modify-write of the LP's state,
+//     even when it leaves the state as it is, so the next claim of the LP
+//     reads from it and its step sees every message pushed before the
+//     notify. A transiently unpublished ring cell is therefore never lost,
+//     only deferred to the notify that follows it.
 //   * Parking — a worker with no runnable LP parks on a condition variable.
 //     The enqueue->wake and park->recheck sides are ordered by seq_cst
 //     fences (Dekker handshake on the parked counter), so a wake-up cannot
@@ -141,25 +143,27 @@ class Scheduler {
   /// Makes `lp` runnable (message arrival or timer expiry). `enqueuer` is the
   /// calling worker; new work always lands in its own queue (thieves spread
   /// it). Safe against every LP state.
+  ///
+  /// The state is always written, even when it stays Scheduled,
+  /// RunningNotified or Done. A plain load could run ahead of the caller's
+  /// mailbox publish (store->load reordering) and read Scheduled; the
+  /// claiming worker could then step the LP without seeing the message and
+  /// leave it Idle with the message stranded. As a release RMW, the notify
+  /// heads a release sequence that the next claim's CAS reads from, so that
+  /// step sees the publish.
   void notify(std::uint32_t lp, std::uint32_t enqueuer) {
     auto& state = slots_[lp].state;
-    std::uint32_t s = state.load(std::memory_order_acquire);
+    std::uint32_t s = state.load(std::memory_order_relaxed);
     for (;;) {
-      if (s == kIdle) {
-        if (state.compare_exchange_weak(s, kScheduled,
-                                        std::memory_order_acq_rel,
-                                        std::memory_order_acquire)) {
+      const std::uint32_t next = s == kIdle      ? kScheduled
+                                 : s == kRunning ? kRunningNotified
+                                                 : s;
+      if (state.compare_exchange_weak(s, next, std::memory_order_acq_rel,
+                                      std::memory_order_relaxed)) {
+        if (s == kIdle) {
           enqueue(lp, enqueuer);
-          return;
         }
-      } else if (s == kRunning) {
-        if (state.compare_exchange_weak(s, kRunningNotified,
-                                        std::memory_order_acq_rel,
-                                        std::memory_order_acquire)) {
-          return;
-        }
-      } else {
-        return;  // Scheduled / RunningNotified / Done: nothing to do
+        return;
       }
     }
   }

@@ -338,7 +338,9 @@ class LogicalProcess final : public platform::LpRunner,
   static constexpr std::size_t kNoRuntime = SIZE_MAX;
 
   void drain_one(std::unique_ptr<platform::EngineMessage> msg);
-  bool drain();  ///< returns true if any message was handled
+  /// Handles the engine's messages for this LP; true if any was handled.
+  /// With `stop_at_returning_token`, stops after a second GVT token.
+  bool drain(bool stop_at_returning_token = false);
   void deliver_local_pending();
   void handle_token(const GvtTokenMessage& token);
   void complete_epoch(VirtualTime gvt);

@@ -436,7 +436,7 @@ void LogicalProcess::drain_one(std::unique_ptr<platform::EngineMessage> msg) {
   }
 }
 
-bool LogicalProcess::drain() {
+bool LogicalProcess::drain(bool stop_at_returning_token) {
   // Comm phase: self-time attribution means nested Rollback/Gvt scopes
   // opened while handling a message are subtracted back out.
   const bool profile = recorder_.profiling();
@@ -444,9 +444,17 @@ bool LogicalProcess::drain() {
     recorder_.phase_begin(obs::Phase::Comm, ctx_->now_ns());
   }
   bool any = false;
+  bool token_seen = false;
   while (auto msg = ctx_->poll()) {
     any = true;
+    const bool token = msg->wire_tag() == kTagGvtToken;
     drain_one(std::move(msg));
+    if (token) {
+      if (token_seen && stop_at_returning_token) {
+        break;
+      }
+      token_seen = true;
+    }
   }
   if (profile) {
     recorder_.phase_end(ctx_->now_ns());
@@ -475,7 +483,15 @@ platform::StepStatus LogicalProcess::step(platform::LpContext& ctx) {
     return platform::StepStatus::Done;
   }
 
-  const bool received = drain();
+  // A GVT token that comes round again within one drain has circled the
+  // ring while this LP was still draining: stop after it so the step
+  // reaches its channel pump. White events parked in this LP's aggregation
+  // channel keep every round's count open, and an LP that forwarded each
+  // round without ever pumping would circulate the token forever. A step
+  // that handled a message returns Active, so the rest of the inbox waits
+  // one step. (On SimulatedNow no token returns within a step: the other
+  // LPs do not run during it.)
+  const bool received = drain(/*stop_at_returning_token=*/true);
   if (done_) {
     return platform::StepStatus::Done;
   }

@@ -4,7 +4,12 @@
 
 #include <gtest/gtest.h>
 
+#include <deque>
+
 #include "otw/apps/phold.hpp"
+#include "otw/tw/lp.hpp"
+#include "otw/tw/messages.hpp"
+#include "otw/tw/wire.hpp"
 
 namespace otw::tw {
 namespace {
@@ -149,6 +154,69 @@ TEST(Kernel, ThreadedOneWorkerRunsWholeBatches) {
   const std::uint64_t processed = tw.stats.object_totals().events_processed;
   EXPECT_GT(processed, 1'000u);
   EXPECT_LE(tw.scheduler.workers[0].steps, processed / 4);
+}
+
+/// The rest of the GVT ring with no delay: every token the LP forwards is
+/// back in its own inbox before its next poll, as when the other LPs run the
+/// whole ring while this LP's worker is preempted. Other messages are
+/// dropped.
+class InstantRingContext final : public platform::LpContext {
+ public:
+  InstantRingContext(LpId self, LpId num_lps) : self_(self), num_lps_(num_lps) {}
+
+  [[nodiscard]] LpId self() const noexcept override { return self_; }
+  [[nodiscard]] LpId num_lps() const noexcept override { return num_lps_; }
+  [[nodiscard]] std::uint64_t now_ns() const noexcept override { return 0; }
+  void charge(std::uint64_t /*ns*/) noexcept override {}
+  void send(LpId /*dst*/, std::unique_ptr<platform::EngineMessage> msg) override {
+    if (msg->wire_tag() == kTagGvtToken) {
+      ++forwarded;
+      inbox.push_back(std::move(msg));
+    }
+  }
+  std::unique_ptr<platform::EngineMessage> poll() override {
+    // The poll cap ends a drain that would otherwise never stop.
+    if (inbox.empty() || polls == kMaxPolls) {
+      return nullptr;
+    }
+    ++polls;
+    auto msg = std::move(inbox.front());
+    inbox.pop_front();
+    return msg;
+  }
+
+  static constexpr int kMaxPolls = 64;
+  std::deque<std::unique_ptr<platform::EngineMessage>> inbox;
+  int polls = 0;
+  int forwarded = 0;
+
+ private:
+  LpId self_;
+  LpId num_lps_;
+};
+
+TEST(Kernel, DrainStopsAtAReturningGvtToken) {
+  // A step that forwarded every returning round would never reach its
+  // channel pump, so white events parked there would hold the epoch open
+  // and the token would circle forever.
+  const Model model = apps::phold::build_model(small_phold(6, 3));
+  std::vector<LpId> object_to_lp;
+  std::vector<std::pair<ObjectId, std::unique_ptr<SimulationObject>>> local;
+  for (ObjectId id = 0; id < model.objects.size(); ++id) {
+    object_to_lp.push_back(model.objects[id].lp);
+    if (model.objects[id].lp == 1) {
+      local.emplace_back(id, model.objects[id].factory());
+    }
+  }
+  LogicalProcess lp(1, kernel_config(3, VirtualTime{1'000}), object_to_lp,
+                    std::move(local));
+  InstantRingContext ctx(1, 3);
+  ctx.inbox.push_back(std::make_unique<GvtTokenMessage>());
+  EXPECT_EQ(lp.step(ctx), platform::StepStatus::Active);
+  EXPECT_EQ(ctx.forwarded, 2);       // the first visit and the return
+  EXPECT_EQ(ctx.inbox.size(), 1u);   // the next return waits one step
+  EXPECT_EQ(lp.step(ctx), platform::StepStatus::Active);
+  EXPECT_EQ(ctx.forwarded, 4);
 }
 
 TEST(Kernel, SimulatedRunsAreDeterministic) {

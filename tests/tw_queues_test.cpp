@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "otw/tw/checkpoint_store.hpp"
 #include "otw/tw/pending_set.hpp"
 
 namespace otw::tw {
@@ -232,6 +233,57 @@ TEST(OutputQueue, FossilCollectBySendTime) {
   q.fossil_collect_before(VirtualTime{20});
   EXPECT_EQ(q.size(), 1u);
   EXPECT_EQ(q.entries().front().cause, pos(20, 0, 1));
+}
+
+// ------------------------------------------------------------ StateQueue --
+//
+// An object's state queue is its CopyCheckpointStore. These cases drive it
+// as ObjectRuntime does: the first checkpoint at Position::before_all(),
+// later ones keyed by the full event key.
+
+PodState<std::uint64_t> state_of(std::uint64_t v) {
+  return PodState<std::uint64_t>(v);
+}
+
+TEST(StateQueue, LatestBeforeFindsRestorePoint) {
+  CopyCheckpointStore q;
+  q.save(Position::before_all(), state_of(0));
+  q.save(pos(10, 1, 0), state_of(1));
+  q.save(pos(20, 1, 1), state_of(2));
+  PodState<std::uint64_t> into = state_of(9);
+  EXPECT_EQ(q.restore_before(pos(15, 9, 9), into), pos(10, 1, 0));
+  EXPECT_EQ(into.value(), 1u);
+}
+
+TEST(StateQueue, LatestBeforeExactKeyGoesEarlier) {
+  CopyCheckpointStore q;
+  q.save(Position::before_all(), state_of(0));
+  q.save(pos(10, 1, 0), state_of(1));
+  PodState<std::uint64_t> into = state_of(9);
+  EXPECT_EQ(q.restore_before(pos(10, 1, 0), into), Position::before_all());
+  EXPECT_EQ(into.value(), 0u);
+}
+
+TEST(StateQueue, SaveRequiresIncreasingKeys) {
+  CopyCheckpointStore q;
+  q.save(pos(10, 1, 0), state_of(1));
+  EXPECT_THROW(q.save(pos(10, 1, 0), state_of(2)), ContractViolation);
+  EXPECT_THROW(q.save(pos(5, 1, 0), state_of(2)), ContractViolation);
+  // Equal receive times are ordered by sender, then sequence number.
+  EXPECT_THROW(q.save(pos(10, 0, 7), state_of(2)), ContractViolation);
+  q.save(pos(10, 1, 1), state_of(2));
+  EXPECT_EQ(q.entries(), 2u);
+}
+
+TEST(StateQueue, FossilKeepsLatestBeforeGvt) {
+  CopyCheckpointStore q;
+  q.save(Position::before_all(), state_of(0));
+  q.save(pos(10, 1, 0), state_of(1));
+  q.save(pos(20, 1, 1), state_of(2));
+  q.save(pos(30, 1, 2), state_of(3));
+  const Position keeper = q.fossil_collect(VirtualTime{25});
+  EXPECT_EQ(keeper, pos(20, 1, 1));
+  EXPECT_EQ(q.entries(), 2u);  // 20 and 30 survive
 }
 
 }  // namespace
